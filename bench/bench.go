@@ -57,16 +57,15 @@ func MatchScenarioSpeedup(pts []MatchPoint, scenario string) float64 {
 // table.
 func WriteMatch(w io.Writer, pts []MatchPoint) { bench.WriteMatch(w, pts) }
 
-// ComparisonPoint is one measurement of the storage-model comparison:
-// validation over the mutable map-backed graph versus the frozen CSR
-// snapshot.
+// ComparisonPoint is one measurement of full validation over the
+// frozen CSR snapshot: freeze cost, one-shot freeze-plus-validate, and
+// validation against a cached snapshot.
 type ComparisonPoint = bench.ComparisonPoint
 
-// CompareValidation measures both validation storage paths on growing
-// knowledge-base workloads; the two paths return identical violation
-// sets, so the comparison is pure representation cost.
+// CompareValidation measures snapshot validation on growing
+// knowledge-base workloads.
 func CompareValidation(scales []int) []ComparisonPoint { return bench.CompareValidation(scales) }
 
-// WriteComparison renders the storage-model comparison as an aligned
+// WriteComparison renders the validation measurements as an aligned
 // table.
 func WriteComparison(w io.Writer, pts []ComparisonPoint) { bench.WriteComparison(w, pts) }

@@ -426,7 +426,7 @@ func BenchmarkValidatorIndexed(b *testing.B) {
 		v := gedlib.NewValidator(g, sigma)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v.Run(0)
+			v.RunCtx(benchCtx, 0)
 		}
 	})
 }

@@ -3,7 +3,7 @@
 //	gedbench -experiment table1            # Table 1 decision matrix
 //	gedbench -experiment table1 -full      # include the slowest instances
 //	gedbench -experiment scaling           # Section 5.3 tractable case + O(1) row
-//	gedbench -experiment validate          # snapshot vs map storage comparison
+//	gedbench -experiment validate          # snapshot validation: freeze, one-shot, cached
 //	gedbench -experiment match             # probe vs worst-case-optimal enumeration
 //	gedbench -experiment incremental       # Engine.Apply vs full re-validation
 //	gedbench -experiment chase             # delta-maintained vs refreeze chase
@@ -23,8 +23,6 @@
 // repository's performance trajectory. -quick shrinks the incremental
 // and chase series to one iteration on a small instance, which is what
 // the CI smoke job runs.
-//
-// See EXPERIMENTS.md for how each experiment maps to the paper.
 package main
 
 import (
@@ -358,8 +356,8 @@ func obsExperiment(quick bool) {
 }
 
 func validate() {
-	fmt.Println("Storage model: map-backed graph vs frozen CSR snapshot")
-	fmt.Println("(same matcher, same rules, identical violation sets; cached = Engine steady state)")
+	fmt.Println("Validation over the frozen CSR snapshot")
+	fmt.Println("(snapshot = one-shot freeze + validate; cached = Engine steady state)")
 	fmt.Println()
 	pts := bench.CompareValidation([]int{200, 400, 800, 1600})
 	bench.WriteComparison(os.Stdout, pts)

@@ -35,14 +35,11 @@
 // readers; they reflect the graph at freeze time (compare
 // Snapshot.SourceVersion against Graph.Version to detect staleness).
 //
-// Callers normally never freeze explicitly: the Engine caches one
-// snapshot keyed on the graph's mutation counter, so repeated Validate,
-// Satisfies and Discover calls on an unchanged graph pay the freeze
-// cost once. Matching over a Snapshot and over its source Graph yields
-// exactly the same result sets — only the cost (and, under a positive
-// violation limit, the enumeration-order prefix) differs; the
-// canonical-order APIs sort before truncating and are host-independent
-// even with a limit.
+// The Snapshot is the only representation the matcher runs on: every
+// analysis over a Graph freezes it first. Callers normally never
+// freeze explicitly: the Engine caches one snapshot keyed on the
+// graph's mutation counter, so repeated Validate, Satisfies and
+// Discover calls on an unchanged graph pay the freeze cost once.
 //
 // # Deltas and incremental maintenance
 //
@@ -70,14 +67,13 @@
 //
 // # Match enumeration
 //
-// On snapshot hosts the matcher's extension step is worst-case-optimal:
-// binding a variable with several already-bound pattern-neighbors
+// The matcher's extension step is worst-case-optimal: binding a
+// variable with several already-bound pattern-neighbors
 // leapfrog-intersects their sorted CSR adjacency runs (with galloping
 // seeks), so only candidates satisfying every incident concrete-labeled
 // edge are ever enumerated — the decisive case on cyclic patterns; with
 // one bound neighbor the smallest eligible run drives and residual
-// constraints are probed per candidate (the mutable-graph host mirrors
-// the min-length selection). Constant antecedent literals (x.A = c) are
+// constraints are probed per candidate. Constant antecedent literals (x.A = c) are
 // pushed down into compiled plans: they resolve to the snapshot's
 // (attr, value) posting lists, join the candidate intersection, and
 // their postings stay valid across Snapshot.Apply, maintained lazily
@@ -86,8 +82,9 @@
 // Plan costing counts literal postings toward a variable's candidate
 // estimate and orders the search toward intersection-tight variables.
 // The pre-intersection scan-and-probe path survives as the measured
-// baseline (gedbench -experiment match) and the differential-test
-// oracle.
+// baseline (gedbench -experiment match). The differential tests check
+// the matcher and every validator against a brute-force reference that
+// tries every assignment over the mutable graph.
 //
 // # Sharding
 //

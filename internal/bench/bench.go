@@ -317,7 +317,7 @@ func BoundedPatternValidation(sizes []int) []ScalingPoint {
 	for _, n := range sizes {
 		g, _ := gen.KnowledgeBase(11, n, 0.1)
 		start := time.Now()
-		reason.Validate(g, sigma, 0)
+		reason.NewValidator(g, sigma).RunCtx(context.Background(), 0)
 		out = append(out, ScalingPoint{Size: g.Size(), Elapsed: time.Since(start)})
 	}
 	return out
@@ -347,33 +347,20 @@ func WriteScaling(w io.Writer, name string, pts []ScalingPoint) {
 	}
 }
 
-// ComparisonPoint is one measurement of the storage-model comparison:
-// full validation of the knowledge-base workload over the mutable
-// map-backed graph versus the frozen CSR snapshot (freeze cost
-// included, and separately the amortized re-run against a cached
-// snapshot — the Engine's steady state).
+// ComparisonPoint is one measurement of full validation of the
+// knowledge-base workload over the frozen CSR snapshot: the freeze
+// alone, a one-shot freeze-plus-validate (Snapshot), and the re-run
+// against a cached snapshot (Cached — the Engine's steady state).
 type ComparisonPoint struct {
 	Size       int           `json:"size"`
 	Violations int           `json:"violations"`
-	Mutable    time.Duration `json:"mutable_ns"`
 	Freeze     time.Duration `json:"freeze_ns"`
 	Snapshot   time.Duration `json:"snapshot_ns"`
 	Cached     time.Duration `json:"cached_ns"`
 }
 
-// Speedup is the steady-state gain of the snapshot path: mutable time
-// over cached-snapshot time.
-func (p ComparisonPoint) Speedup() float64 {
-	if p.Cached <= 0 {
-		return 0
-	}
-	return float64(p.Mutable) / float64(p.Cached)
-}
-
-// CompareValidation measures both validation storage paths on growing
-// knowledge-base workloads under the paper's rules φ₁–φ₄. Both paths
-// run the same matcher over the same rule set and return identical
-// violation sets; only the host representation differs.
+// CompareValidation measures snapshot validation on growing
+// knowledge-base workloads under the paper's rules φ₁–φ₄.
 func CompareValidation(scales []int) []ComparisonPoint {
 	ctx := context.Background()
 	sigma := ged.Set{gen.PaperPhi1(), gen.PaperPhi2(), gen.PaperPhi3(), gen.PaperPhi4()}
@@ -381,34 +368,24 @@ func CompareValidation(scales []int) []ComparisonPoint {
 	for _, n := range scales {
 		g, _ := gen.KnowledgeBase(11, n, 0.1)
 
-		// Warm both paths once: the cached column is the Engine's steady
-		// state, where the plans' pushed-down literal postings (built
-		// lazily on the snapshot's first use, then delta-maintained) are
-		// already materialized.
-		warmSnap := g.Freeze()
-		reason.ValidateOnCtx(ctx, g, sigma, 1)
-		reason.ValidateOnCtx(ctx, warmSnap, sigma, 1)
+		// Warm up once: the cached column is the Engine's steady state,
+		// where the plans' pushed-down literal postings (built lazily on
+		// the snapshot's first use, then delta-maintained) are already
+		// materialized.
+		reason.NewValidatorOn(g.Freeze(), sigma).RunCtx(ctx, 1)
 
 		start := time.Now()
-		vs, _ := reason.ValidateOnCtx(ctx, g, sigma, 0)
-		mutable := time.Since(start)
-
-		start = time.Now()
 		snap := g.Freeze()
 		freeze := time.Since(start)
 
 		snap.NumPostings() // materialize postings, as the Engine's cache would have
 		start = time.Now()
-		vs2, _ := reason.ValidateOnCtx(ctx, snap, sigma, 0)
+		vs, _ := reason.NewValidatorOn(snap, sigma).RunCtx(ctx, 0)
 		cached := time.Since(start)
 
-		if len(vs) != len(vs2) {
-			panic("bench: storage paths disagree on violation count")
-		}
 		out = append(out, ComparisonPoint{
 			Size:       g.Size(),
 			Violations: len(vs),
-			Mutable:    mutable,
 			Freeze:     freeze,
 			Snapshot:   freeze + cached,
 			Cached:     cached,
@@ -417,15 +394,14 @@ func CompareValidation(scales []int) []ComparisonPoint {
 	return out
 }
 
-// WriteComparison renders the storage-model comparison.
+// WriteComparison renders the validation measurements.
 func WriteComparison(w io.Writer, pts []ComparisonPoint) {
-	fmt.Fprintf(w, "%-10s %-6s %12s %12s %12s %12s %8s\n",
-		"SIZE", "VIOL", "MUTABLE", "FREEZE", "SNAPSHOT", "CACHED", "SPEEDUP")
+	fmt.Fprintf(w, "%-10s %-6s %12s %12s %12s\n",
+		"SIZE", "VIOL", "FREEZE", "SNAPSHOT", "CACHED")
 	for _, p := range pts {
-		fmt.Fprintf(w, "%-10d %-6d %12s %12s %12s %12s %7.2fx\n",
+		fmt.Fprintf(w, "%-10d %-6d %12s %12s %12s\n",
 			p.Size, p.Violations,
-			p.Mutable.Round(time.Microsecond), p.Freeze.Round(time.Microsecond),
-			p.Snapshot.Round(time.Microsecond), p.Cached.Round(time.Microsecond),
-			p.Speedup())
+			p.Freeze.Round(time.Microsecond),
+			p.Snapshot.Round(time.Microsecond), p.Cached.Round(time.Microsecond))
 	}
 }

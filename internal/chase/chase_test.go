@@ -394,7 +394,7 @@ func naiveViolation(g *graph.Graph, d *ged.GED) string {
 		}
 	}
 	bad := ""
-	pattern.ForEachMatch(d.Pattern, g, func(m pattern.Match) bool {
+	pattern.ForEachMatch(d.Pattern, g.Freeze(), func(m pattern.Match) bool {
 		for _, l := range d.X {
 			if !holds(l, m) {
 				return true

@@ -102,7 +102,7 @@ func TestCoercionPreservesMatches(t *testing.T) {
 			continue
 		}
 		for _, d := range sigma {
-			pattern.ForEachMatch(d.Pattern, g, func(m pattern.Match) bool {
+			pattern.ForEachMatch(d.Pattern, g.Freeze(), func(m pattern.Match) bool {
 				// The composed assignment must be a match in the coercion.
 				composed := make(pattern.Match, len(m))
 				for v, n := range m {

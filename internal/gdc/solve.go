@@ -272,11 +272,12 @@ func (s *state) propagate(sigma Set, budget *int) (ok, complete bool) {
 		}
 		*budget--
 		q, _, repOf := s.quotient()
+		qs := q.Freeze()
 		changed := false
 		conflict := false
 		for _, d := range sigma {
 			d := d
-			pattern.ForEachMatch(d.Pattern, q, func(m pattern.Match) bool {
+			pattern.ForEachMatch(d.Pattern, qs, func(m pattern.Match) bool {
 				base := make(map[pattern.Var]graph.NodeID, len(m))
 				for v, qn := range m {
 					base[v] = repOf[qn]

@@ -124,9 +124,10 @@ type Violation struct {
 // Validate finds violations of Σ in G, up to limit (≤ 0 means all).
 func Validate(g *graph.Graph, sigma Set, limit int) []Violation {
 	var out []Violation
+	snap := g.Freeze()
 	for _, d := range sigma {
 		d := d
-		pattern.ForEachMatch(d.Pattern, g, func(m pattern.Match) bool {
+		pattern.ForEachMatch(d.Pattern, snap, func(m pattern.Match) bool {
 			for _, l := range d.X {
 				if !holdsInGraph(g, l, m) {
 					return true

@@ -74,10 +74,11 @@ func findPending(b branchState, sigma Set) (*chase.Result, *pending) {
 		return res, nil
 	}
 	co := res.Coercion
+	snap := co.Graph.Freeze()
 	var found *pending
 	for _, d := range sigma {
 		d := d
-		pattern.ForEachMatch(d.Pattern, co.Graph, func(m pattern.Match) bool {
+		pattern.ForEachMatch(d.Pattern, snap, func(m pattern.Match) bool {
 			base := make(map[pattern.Var]graph.NodeID, len(m))
 			for v, cn := range m {
 				base[v] = co.RepOf[cn]

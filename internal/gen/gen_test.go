@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -219,7 +220,7 @@ func TestKnowledgeBase(t *testing.T) {
 		t.Fatal("expected planted inconsistencies at rate 0.3")
 	}
 	sigma := ged.Set{PaperPhi1(), PaperPhi2(), PaperPhi3(), PaperPhi4()}
-	vs := reason.Validate(g, sigma, 0)
+	vs := violations(g, sigma, 0)
 	if len(vs) < stats.Total() {
 		t.Errorf("validation found %d violations, planted %d", len(vs), stats.Total())
 	}
@@ -229,7 +230,7 @@ func TestKnowledgeBase(t *testing.T) {
 		t.Fatal("rate 0 must plant nothing")
 	}
 	if !reason.Satisfies(clean, sigma) {
-		vs := reason.Validate(clean, sigma, 3)
+		vs := violations(clean, sigma, 3)
 		t.Errorf("clean KB must satisfy Σ; first violations: %v", vs)
 	}
 }
@@ -240,7 +241,7 @@ func TestSocialNetwork(t *testing.T) {
 		t.Fatal("expected seed fakes")
 	}
 	phi5 := PaperPhi5(2)
-	vs := reason.Validate(g, ged.Set{phi5}, 0)
+	vs := violations(g, ged.Set{phi5}, 0)
 	if len(vs) == 0 {
 		t.Error("spam rule must fire on the social workload")
 	}
@@ -252,7 +253,7 @@ func TestMusicDB(t *testing.T) {
 		t.Fatal("expected planted duplicates")
 	}
 	keys := PaperKeys()
-	vs := reason.Validate(g, keys, 0)
+	vs := violations(g, keys, 0)
 	if len(vs) == 0 {
 		t.Error("planted duplicates must violate the keys")
 	}
@@ -288,4 +289,10 @@ func TestRandomGEDSetValid(t *testing.T) {
 	if err := sigma.Validate(); err != nil {
 		t.Errorf("generated set invalid: %v", err)
 	}
+}
+
+// violations validates g against sigma on a fresh snapshot.
+func violations(g *graph.Graph, sigma ged.Set, limit int) []reason.Violation {
+	vs, _ := reason.NewValidator(g, sigma).RunCtx(context.Background(), limit)
+	return vs
 }

@@ -185,7 +185,7 @@ func substituteVars(l ged.Literal, m map[pattern.Var]pattern.Var) ged.Literal {
 // satisfy its selection.
 func Answers(q *Query, g *graph.Graph) []pattern.Match {
 	var out []pattern.Match
-	pattern.ForEachMatch(q.Pattern, g, func(m pattern.Match) bool {
+	pattern.ForEachMatch(q.Pattern, g.Freeze(), func(m pattern.Match) bool {
 		for _, l := range q.X {
 			if !holdsInGraph(g, l, m) {
 				return true

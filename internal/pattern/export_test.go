@@ -7,3 +7,10 @@ import "gedlib/internal/graph"
 func IntersectSortedForTest(lists [][]graph.NodeID) []graph.NodeID {
 	return intersectInto(nil, lists)
 }
+
+// BruteForceMatches and CanonMatches expose the brute-force reference
+// and its canonical match rendering to the external differential tests.
+var (
+	BruteForceMatches = bruteForceMatches
+	CanonMatches      = canonOf
+)

@@ -30,7 +30,7 @@ func (m Match) Clone() Match {
 const unbound = graph.NodeID(-1)
 
 // labelAbsent and labelWild are the sentinel resolved-label symbols of
-// snapshot-compiled plans: absent means the label occurs nowhere in the
+// compiled plans: absent means the label occurs nowhere in the
 // snapshot (the edge or variable can never match), wild is the
 // wildcard.
 const (
@@ -39,9 +39,9 @@ const (
 )
 
 // cedge is a compiled pattern edge: endpoints resolved to variable
-// indexes so the search never hashes a Var, and — on snapshot hosts —
-// the edge label resolved to its interned symbol so the search never
-// hashes a label either.
+// indexes so the search never hashes a Var, and the edge label resolved
+// to its interned snapshot symbol so the search never hashes a label
+// either.
 type cedge struct {
 	src, dst int
 	label    graph.Label
@@ -55,8 +55,7 @@ type cedge struct {
 // enumeration dominates their cost.
 type matcher struct {
 	pl       *Plan
-	h        Host
-	snap     *graph.Snapshot           // non-nil fast path, mirrors pl.snap
+	snap     *graph.Snapshot           // mirrors pl.snap
 	bind     []graph.NodeID            // dense partial assignment, unbound = -1
 	last     []graph.NodeID            // binding each out entry currently holds
 	out      Match                     // reused map handed to yield
@@ -90,10 +89,9 @@ const stopEvery = 1024
 // the enumeration then emits only matches whose binding of Var carries
 // attribute Attr with exactly Value, skipping literal-failing partial
 // bindings inside the search instead of post-filtering whole matches.
-// On snapshot hosts the filter resolves to the snapshot's (attr,
-// value) posting list and joins the candidate intersection; on mutable
-// hosts it is enforced per candidate at binding time. Filters naming
-// variables the pattern does not have are ignored.
+// The filter resolves to the snapshot's (attr, value) posting list and
+// joins the candidate intersection. Filters naming variables the
+// pattern does not have are ignored.
 type ConstFilter struct {
 	Var   Var
 	Attr  graph.Attr
@@ -101,28 +99,27 @@ type ConstFilter struct {
 }
 
 // cfilter is a compiled pushed-down filter: the attribute resolved to
-// its interned symbol and, on snapshot hosts, the posting list of
-// nodes carrying (attr, value).
+// its interned symbol and the posting list of nodes carrying
+// (attr, value).
 type cfilter struct {
 	attr graph.Attr
 	val  graph.Value
 	aid  int32          // resolved attr symbol; -1 = unresolved/absent
-	post []graph.NodeID // snapshot posting, ascending; nil on mutable hosts
+	post []graph.NodeID // snapshot posting, ascending
 }
 
-// Plan is a compiled matching plan for one (pattern, host) pair: the
+// Plan is a compiled matching plan for one (pattern, snapshot) pair: the
 // variable order, index-resolved adjacency, pushed-down literal
 // postings and binding layout are computed once and shared across any
 // number of (concurrent) enumerations. Plans are immutable after
 // Compile and safe for concurrent use.
 type Plan struct {
 	p      *Pattern
-	h      Host
-	snap   *graph.Snapshot // non-nil when h is a snapshot: interned fast path
-	vars   []Var           // variable index -> variable
+	snap   *graph.Snapshot
+	vars   []Var // variable index -> variable
 	varIdx map[Var]int
 	labels []graph.Label // variable index -> label
-	varLid []int32       // variable index -> resolved label symbol (snapshot hosts)
+	varLid []int32       // variable index -> resolved label symbol
 	adj    [][]cedge     // variable index -> incident pattern edges
 	order  []int         // variable binding order, as indexes
 
@@ -148,21 +145,21 @@ type Plan struct {
 	prof *obs.MatchStats
 }
 
-// Compile prepares a matching plan for p over h — a mutable graph or a
-// frozen snapshot.
-func Compile(p *Pattern, h Host) *Plan {
-	return compile(p, h, nil, false)
+// Compile prepares a matching plan for p over the frozen snapshot snap.
+// A mutable graph is matched by freezing it first (graph.Graph.Freeze);
+// compile once and reuse the plan wherever matching is repeated.
+func Compile(p *Pattern, snap *graph.Snapshot) *Plan {
+	return compile(p, snap, nil, false)
 }
 
 // CompileFiltered is Compile with constant literals pushed down into
 // the plan: enumeration skips bindings that fail them, so callers that
 // would post-filter matches on x.A = c literals (validators checking a
-// GED's antecedent) never enumerate the failing matches at all. On
-// snapshot hosts each filter resolves to the attribute-value index's
-// posting list and candidate generation intersects it alongside the
-// adjacency runs.
-func CompileFiltered(p *Pattern, h Host, filters []ConstFilter) *Plan {
-	return compile(p, h, filters, false)
+// GED's antecedent) never enumerate the failing matches at all. Each
+// filter resolves to the attribute-value index's posting list and
+// candidate generation intersects it alongside the adjacency runs.
+func CompileFiltered(p *Pattern, snap *graph.Snapshot, filters []ConstFilter) *Plan {
+	return compile(p, snap, filters, false)
 }
 
 // CompileProbe compiles the legacy scan-and-probe plan: candidates come
@@ -170,15 +167,15 @@ func CompileFiltered(p *Pattern, h Host, filters []ConstFilter) *Plan {
 // remaining constraint is probed per candidate, with the pre-intersection
 // variable ordering. It is the measured baseline of the worst-case-
 // optimal extension step and the oracle of its differential tests.
-func CompileProbe(p *Pattern, h Host) *Plan {
-	return compile(p, h, nil, true)
+func CompileProbe(p *Pattern, snap *graph.Snapshot) *Plan {
+	return compile(p, snap, nil, true)
 }
 
-func compile(p *Pattern, h Host, filters []ConstFilter, probe bool) *Plan {
+func compile(p *Pattern, snap *graph.Snapshot, filters []ConstFilter, probe bool) *Plan {
 	n := len(p.vars)
 	pl := &Plan{
 		p:       p,
-		h:       h,
+		snap:    snap,
 		vars:    p.vars,
 		varIdx:  make(map[Var]int, n),
 		labels:  make([]graph.Label, n),
@@ -187,29 +184,15 @@ func compile(p *Pattern, h Host, filters []ConstFilter, probe bool) *Plan {
 		probe:   probe,
 		pool:    new(sync.Pool),
 	}
-	pl.snap, _ = h.(*graph.Snapshot)
-	resolve := func(l graph.Label) int32 {
-		if l == graph.Wildcard {
-			return labelWild
-		}
-		if lid, ok := pl.snap.LabelID(l); ok {
-			return lid
-		}
-		return labelAbsent
-	}
 	pl.varLid = make([]int32, n)
 	for i, x := range p.vars {
 		pl.varIdx[x] = i
 		pl.labels[i] = p.labels[x]
-		if pl.snap != nil {
-			pl.varLid[i] = resolve(p.labels[x])
-		}
+		pl.varLid[i] = resolveLabel(snap, p.labels[x])
 	}
 	for _, e := range p.edges {
 		ce := cedge{src: pl.varIdx[e.Src], dst: pl.varIdx[e.Dst], label: e.Label}
-		if pl.snap != nil {
-			ce.lid = resolve(e.Label)
-		}
+		ce.lid = resolveLabel(snap, e.Label)
 		pl.adj[ce.src] = append(pl.adj[ce.src], ce)
 		if ce.dst != ce.src {
 			pl.adj[ce.dst] = append(pl.adj[ce.dst], ce)
@@ -223,38 +206,35 @@ func compile(p *Pattern, h Host, filters []ConstFilter, probe bool) *Plan {
 				continue
 			}
 			cf := cfilter{attr: f.Attr, val: f.Value, aid: -1}
-			if pl.snap != nil {
-				if aid, ok := pl.snap.AttrID(f.Attr); ok {
-					cf.aid = aid
-					cf.post = pl.snap.LookupAttrID(aid, f.Value)
-				}
+			if aid, ok := snap.AttrID(f.Attr); ok {
+				cf.aid = aid
+				cf.post = snap.LookupAttrID(aid, f.Value)
 			}
 			pl.varFilt[i] = append(pl.varFilt[i], cf)
 		}
 	}
-	pl.order = planOrder(pl, h)
+	pl.order = planOrder(pl)
 	return pl
 }
 
-// Rebind returns a plan equivalent to pl but bound to snap, an
-// immutable snapshot of the same lineage as the plan's host (i.e. one
-// produced from it by graph.Snapshot.Apply, in any number of steps).
-// Within a lineage symbol ids are append-only, so the compiled variable
-// order and adjacency carry over unchanged; only label symbols that
-// were absent at Compile time are re-resolved — a delta may have
-// interned them since. The cost is proportional to the pattern, never
-// the host, which is what lets validators follow a delta-maintained
-// snapshot without recompiling.
-//
-// Rebinding onto an unrelated snapshot corrupts label resolution
-// silently; callers are expected to check Lineage, as the Engine's plan
-// cache does.
+// resolveLabel returns l's interned symbol in snap, or the labelWild /
+// labelAbsent sentinel.
+func resolveLabel(snap *graph.Snapshot, l graph.Label) int32 {
+	if l == graph.Wildcard {
+		return labelWild
+	}
+	if lid, ok := snap.LabelID(l); ok {
+		return lid
+	}
+	return labelAbsent
+}
+
 // OrderedVars returns the plan's variable binding order — the sequence
 // the worst-case-optimal search extends partial bindings in, chosen
-// from the host's statistics at compile time. Callers that drive their
-// own extension loop (the sharded validator resumes partial bindings
-// across shard queues) reuse it so their enumeration visits variables
-// in the same cost-aware order. The returned slice is fresh.
+// from the snapshot's statistics at compile time. Callers that drive
+// their own extension loop (the sharded validator resumes partial
+// bindings across shard queues) reuse it so their enumeration visits
+// variables in the same cost-aware order. The returned slice is fresh.
 func (pl *Plan) OrderedVars() []Var {
 	out := make([]Var, len(pl.order))
 	for i, vi := range pl.order {
@@ -263,13 +243,25 @@ func (pl *Plan) OrderedVars() []Var {
 	return out
 }
 
+// Rebind returns a plan equivalent to pl but bound to snap, an
+// immutable snapshot of the same lineage as the plan's snapshot (i.e.
+// one produced from it by graph.Snapshot.Apply, in any number of steps).
+// Within a lineage symbol ids are append-only, so the compiled variable
+// order and adjacency carry over unchanged; only label symbols that
+// were absent at Compile time are re-resolved — a delta may have
+// interned them since. The cost is proportional to the pattern, never
+// the snapshot, which is what lets validators follow a delta-maintained
+// snapshot without recompiling.
+//
+// Rebinding onto an unrelated snapshot corrupts label resolution
+// silently; callers are expected to check Lineage, as the Engine's plan
+// cache does.
 func (pl *Plan) Rebind(snap *graph.Snapshot) *Plan {
 	if snap == pl.snap {
 		return pl
 	}
 	np := &Plan{
 		p:       pl.p,
-		h:       snap,
 		snap:    snap,
 		vars:    pl.vars,
 		varIdx:  pl.varIdx,
@@ -310,34 +302,25 @@ func (pl *Plan) Rebind(snap *graph.Snapshot) *Plan {
 		}
 		np.varFilt = nf
 	}
-	resolve := func(l graph.Label) int32 {
-		if l == graph.Wildcard {
-			return labelWild
-		}
-		if lid, ok := snap.LabelID(l); ok {
-			return lid
-		}
-		return labelAbsent
-	}
 	for i, lid := range pl.varLid {
 		if lid != labelAbsent {
 			continue
 		}
-		if resolve(pl.labels[i]) == labelAbsent {
+		if resolveLabel(snap, pl.labels[i]) == labelAbsent {
 			continue
 		}
 		// A previously-absent symbol exists now: re-resolve the whole
 		// (tiny) table once.
 		nv := make([]int32, len(pl.varLid))
 		for j := range nv {
-			nv[j] = resolve(pl.labels[j])
+			nv[j] = resolveLabel(snap, pl.labels[j])
 		}
 		np.varLid = nv
 		break
 	}
 	for x := range pl.adj {
 		for _, e := range pl.adj[x] {
-			if e.lid != labelAbsent || resolve(e.label) == labelAbsent {
+			if e.lid != labelAbsent || resolveLabel(snap, e.label) == labelAbsent {
 				continue
 			}
 			// Same for edge labels: clone the adjacency with fresh
@@ -347,7 +330,7 @@ func (pl *Plan) Rebind(snap *graph.Snapshot) *Plan {
 				es := make([]cedge, len(pl.adj[y]))
 				copy(es, pl.adj[y])
 				for k := range es {
-					es[k].lid = resolve(es[k].label)
+					es[k].lid = resolveLabel(snap, es[k].label)
 				}
 				nadj[y] = es
 			}
@@ -374,7 +357,7 @@ func (pl *Plan) newMatcher(stop func() bool, yield func(Match) bool) *matcher {
 	}
 	// The pool is shared across same-lineage rebinds, so a recycled
 	// matcher may carry a predecessor plan; re-point it every time.
-	m.pl, m.h, m.snap = pl, pl.h, pl.snap
+	m.pl, m.snap = pl, pl.snap
 	m.yield = yield
 	m.stop = stop
 	m.tick = 0
@@ -392,7 +375,7 @@ func (pl *Plan) newMatcher(stop func() bool, yield func(Match) bool) *matcher {
 }
 
 // putMatcher returns scratch to the plan's pool, dropping the caller's
-// closures — and the plan/host/snapshot references, which would
+// closures — and the plan/snapshot references, which would
 // otherwise pin a superseded snapshot's COW pages across rebinds — so
 // the pool never pins them. newMatcher re-points them on every Get.
 func (pl *Plan) putMatcher(m *matcher) {
@@ -402,7 +385,6 @@ func (pl *Plan) putMatcher(m *matcher) {
 	m.filter = nil
 	m.stop = nil
 	m.pl = nil
-	m.h = nil
 	m.snap = nil
 	// The run-collection buffers hold views into snapshot CSR storage;
 	// nil them so a pooled matcher never pins a superseded snapshot's
@@ -446,7 +428,7 @@ func (m *matcher) isectBuf(x int) []graph.NodeID {
 	return m.isect[x][:0]
 }
 
-// candFail is the empty-candidate-set exit of candidatesSnap: it hands
+// candFail is the empty-candidate-set exit of candidatesIsect: it hands
 // a non-nil run collection buffer back to its per-variable slot (so
 // its capacity is recycled) and yields no candidates.
 func (m *matcher) candFail(x int, runs [][]graph.NodeID) []graph.NodeID {
@@ -577,7 +559,7 @@ func (pl *Plan) ForEachPivotCancel(pivot Var, cands []graph.NodeID, stop func() 
 // the intersection skips them wholesale, which is what makes pivoted
 // re-checks over selective literals cheap.
 func (m *matcher) pivotCands(pi int, cands []graph.NodeID) []graph.NodeID {
-	if m.snap == nil || m.pl.probe || len(m.pl.varFilt[pi]) == 0 || len(cands) == 0 {
+	if m.pl.probe || len(m.pl.varFilt[pi]) == 0 || len(cands) == 0 {
 		return cands
 	}
 	for fi := range m.pl.varFilt[pi] {
@@ -604,50 +586,51 @@ func (m *matcher) pivotCands(pi int, cands []graph.NodeID) []graph.NodeID {
 	return out
 }
 
-// ForEachMatch enumerates the matches of p in h, invoking yield for each.
-// Enumeration stops early when yield returns false. The Match passed to
-// yield is reused between invocations; clone it to retain it.
-func ForEachMatch(p *Pattern, h Host, yield func(Match) bool) {
-	Compile(p, h).ForEachBound(nil, yield)
+// ForEachMatch enumerates the matches of p in snap, invoking yield for
+// each. Enumeration stops early when yield returns false. The Match
+// passed to yield is reused between invocations; clone it to retain it.
+func ForEachMatch(p *Pattern, snap *graph.Snapshot, yield func(Match) bool) {
+	Compile(p, snap).ForEachBound(nil, yield)
 }
 
 // ForEachMatchCancel is ForEachMatch with the cooperative abort hook of
 // ForEachBoundCancel.
-func ForEachMatchCancel(p *Pattern, h Host, stop func() bool, yield func(Match) bool) {
-	Compile(p, h).ForEachBoundCancel(nil, stop, yield)
+func ForEachMatchCancel(p *Pattern, snap *graph.Snapshot, stop func() bool, yield func(Match) bool) {
+	Compile(p, snap).ForEachBoundCancel(nil, stop, yield)
 }
 
-// ForEachMatchBound enumerates the matches of p in h extending the
-// partial assignment pre. For repeated enumeration over one host,
+// ForEachMatchBound enumerates the matches of p in snap extending the
+// partial assignment pre. For repeated enumeration over one snapshot,
 // Compile once and use Plan.ForEachBound.
-func ForEachMatchBound(p *Pattern, h Host, pre Match, yield func(Match) bool) {
-	Compile(p, h).ForEachBound(pre, yield)
+func ForEachMatchBound(p *Pattern, snap *graph.Snapshot, pre Match, yield func(Match) bool) {
+	Compile(p, snap).ForEachBound(pre, yield)
 }
 
-// FindMatches returns up to limit matches of p in h; limit <= 0 means all.
-func FindMatches(p *Pattern, h Host, limit int) []Match {
+// FindMatches returns up to limit matches of p in snap; limit <= 0
+// means all.
+func FindMatches(p *Pattern, snap *graph.Snapshot, limit int) []Match {
 	var out []Match
-	ForEachMatch(p, h, func(m Match) bool {
+	ForEachMatch(p, snap, func(m Match) bool {
 		out = append(out, m.Clone())
 		return limit <= 0 || len(out) < limit
 	})
 	return out
 }
 
-// HasMatch reports whether p has at least one match in h.
-func HasMatch(p *Pattern, h Host) bool {
+// HasMatch reports whether p has at least one match in snap.
+func HasMatch(p *Pattern, snap *graph.Snapshot) bool {
 	found := false
-	ForEachMatch(p, h, func(Match) bool {
+	ForEachMatch(p, snap, func(Match) bool {
 		found = true
 		return false
 	})
 	return found
 }
 
-// CountMatches returns the number of matches of p in h.
-func CountMatches(p *Pattern, h Host) int {
+// CountMatches returns the number of matches of p in snap.
+func CountMatches(p *Pattern, snap *graph.Snapshot) int {
 	n := 0
-	ForEachMatch(p, h, func(Match) bool {
+	ForEachMatch(p, snap, func(Match) bool {
 		n++
 		return true
 	})
@@ -662,39 +645,28 @@ func CountMatches(p *Pattern, h Host) int {
 // choice: every such edge contributes one more sorted run to the
 // extension step's intersection), breaking ties toward small candidate
 // sets. Disconnected components are started at their most selective
-// variable. Hosts exposing degree statistics (snapshots) break
-// remaining ties toward the label with the higher average degree — a
-// better-connected seed prunes its neighborhood harder. Probe-mode
-// plans keep the legacy frontier rule (selectivity only), as the
-// faithful baseline of the pre-intersection matcher.
-func planOrder(pl *Plan, h Host) []int {
+// variable. Remaining ties break toward the label with the higher
+// average degree in the snapshot — a better-connected seed prunes its
+// neighborhood harder. Probe-mode plans keep the legacy frontier rule
+// (selectivity only), as the faithful baseline of the pre-intersection
+// matcher.
+func planOrder(pl *Plan) []int {
 	n := len(pl.vars)
-	stats, hasStats := h.(degreeStats)
 	candCount := func(i int) int {
-		c := 0
-		if pl.labels[i] == graph.Wildcard {
-			c = h.NumNodes()
-		} else {
-			c = len(h.CandidateNodes(pl.labels[i]))
-		}
-		if pl.snap != nil {
-			for fi := range pl.varFilt[i] {
-				f := &pl.varFilt[i][fi]
-				if f.aid < 0 {
-					return 0
-				}
-				if len(f.post) < c {
-					c = len(f.post)
-				}
+		c := len(pl.snap.CandidateNodes(pl.labels[i]))
+		for fi := range pl.varFilt[i] {
+			f := &pl.varFilt[i][fi]
+			if f.aid < 0 {
+				return 0
+			}
+			if len(f.post) < c {
+				c = len(f.post)
 			}
 		}
 		return c
 	}
 	avgDeg := func(i int) float64 {
-		if !hasStats {
-			return 0
-		}
-		return stats.LabelAvgDegree(pl.labels[i])
+		return pl.snap.LabelAvgDegree(pl.labels[i])
 	}
 	// better reports whether variable a is the more attractive next
 	// binding than b: fewer candidates, then higher average degree, then
@@ -839,73 +811,20 @@ func (m *matcher) emit() {
 }
 
 // candidates returns the nodes that variable index x may be bound to.
-// On snapshot hosts the default path intersects the sorted CSR
-// adjacency runs of every already-bound pattern-neighbor, together
-// with x's pushed-down literal postings — candidates then satisfy
-// every incident concrete-labeled edge and every pushed-down literal
-// by construction (worst-case-optimal extension). On mutable hosts the
-// smallest bound-neighbor list is scanned and the residual constraints
-// are probed by consistent. Node-label compatibility is checked by
-// consistent.
+// The default path intersects the sorted CSR adjacency runs of every
+// already-bound pattern-neighbor, together with x's pushed-down literal
+// postings — candidates then satisfy every incident concrete-labeled
+// edge and every pushed-down literal by construction (worst-case-optimal
+// extension). Probe plans scan the first bound neighbor's run instead.
+// Node-label compatibility is checked by consistent.
 func (m *matcher) candidates(x int) []graph.NodeID {
-	if m.snap != nil {
-		if m.pl.probe {
-			return m.candidatesSnapProbe(x)
-		}
-		return m.candidatesSnap(x)
-	}
 	if m.pl.probe {
-		for _, e := range m.pl.adj[x] {
-			if e.src == x && e.dst != x {
-				if v := m.bind[e.dst]; v != unbound {
-					return m.h.InNeighbors(v, e.label)
-				}
-			}
-			if e.dst == x && e.src != x {
-				if v := m.bind[e.src]; v != unbound {
-					return m.h.OutNeighbors(v, e.label)
-				}
-			}
-		}
-		return m.h.CandidateNodes(m.pl.labels[x])
+		return m.candidatesProbe(x)
 	}
-	// Mutable-host parity with the snapshot path's min-run selection:
-	// scan every bound pattern-neighbor and extend from the *smallest*
-	// neighbor list, not the first one hit; the other edges are probed
-	// per candidate by consistent.
-	var best []graph.NodeID
-	found := false
-	for _, e := range m.pl.adj[x] {
-		var c []graph.NodeID
-		if e.src == x && e.dst != x {
-			v := m.bind[e.dst]
-			if v == unbound {
-				continue
-			}
-			c = m.h.InNeighbors(v, e.label)
-		} else if e.dst == x && e.src != x {
-			v := m.bind[e.src]
-			if v == unbound {
-				continue
-			}
-			c = m.h.OutNeighbors(v, e.label)
-		} else {
-			continue
-		}
-		if !found || len(c) < len(best) {
-			best, found = c, true
-			if len(best) == 0 {
-				return best
-			}
-		}
-	}
-	if found {
-		return best
-	}
-	return m.h.CandidateNodes(m.pl.labels[x])
+	return m.candidatesIsect(x)
 }
 
-// candidatesSnap is the snapshot extension step: collect the sorted
+// candidatesIsect is the default extension step: collect the sorted
 // adjacency run of every bound concrete-labeled incident edge plus the
 // pushed-down literal postings, and leapfrog-intersect them. With one
 // eligible run the run itself is returned (zero copy) — the smallest,
@@ -914,7 +833,7 @@ func (m *matcher) candidates(x int) []graph.NodeID {
 // runs, not sorted) and stay residual checks in consistent, unless
 // they are the only bound edges, in which case the legacy deduped
 // neighbor buffer is used, picked from the smallest bound neighborhood.
-func (m *matcher) candidatesSnap(x int) []graph.NodeID {
+func (m *matcher) candidatesIsect(x int) []graph.NodeID {
 	m.covered[x] = false
 	pl := m.pl
 	// run0 carries the first sorted run; the collection buffer is only
@@ -1042,10 +961,10 @@ func (m *matcher) candidatesSnap(x int) []graph.NodeID {
 	return out
 }
 
-// candidatesSnapProbe is the legacy scan-and-probe extension step over
-// the interned snapshot symbols: the first bound pattern-neighbor's
-// run is scanned and every other constraint is probed per candidate.
-func (m *matcher) candidatesSnapProbe(x int) []graph.NodeID {
+// candidatesProbe is the legacy scan-and-probe extension step: the
+// first bound pattern-neighbor's run is scanned and every other
+// constraint is probed per candidate.
+func (m *matcher) candidatesProbe(x int) []graph.NodeID {
 	for _, e := range m.pl.adj[x] {
 		if e.src == x && e.dst != x {
 			if v := m.bind[e.dst]; v != unbound {
@@ -1088,57 +1007,16 @@ func (m *matcher) candidatesSnapProbe(x int) []graph.NodeID {
 
 // consistent checks label compatibility of binding x↦v, x's pushed-down
 // constant literals, and every pattern edge between x and already-bound
-// variables (including self-loops).
+// variables (including self-loops). When the candidate came out of
+// candidatesIsect's intersection (covered), the concrete bound-edge and
+// pushed-down literal constraints were satisfied by construction and
+// only the residual constraints — node label, self-loops,
+// wildcard-labeled edges — are checked.
 func (m *matcher) consistent(x int, v graph.NodeID) bool {
 	m.nProbe++
 	if m.filter != nil && !m.filter(v) {
 		return false
 	}
-	if m.snap != nil {
-		return m.consistentSnap(x, v)
-	}
-	if !graph.LabelMatches(m.pl.labels[x], m.h.Label(v)) {
-		return false
-	}
-	for fi := range m.pl.varFilt[x] {
-		f := &m.pl.varFilt[x][fi]
-		val, ok := m.h.Attr(v, f.attr)
-		if !ok || !val.Equal(f.val) {
-			return false
-		}
-	}
-	for _, e := range m.pl.adj[x] {
-		var src, dst graph.NodeID
-		switch {
-		case e.src == x && e.dst == x:
-			src, dst = v, v
-		case e.src == x:
-			dst = m.bind[e.dst]
-			if dst == unbound {
-				continue
-			}
-			src = v
-		default: // e.dst == x
-			src = m.bind[e.src]
-			if src == unbound {
-				continue
-			}
-			dst = v
-		}
-		if !HostHasCompatibleEdge(m.h, src, e.label, dst) {
-			return false
-		}
-	}
-	return true
-}
-
-// consistentSnap is consistent over the interned snapshot symbols.
-// When the candidate came out of candidatesSnap's intersection
-// (covered), the concrete bound-edge and pushed-down literal
-// constraints were satisfied by construction and only the residual
-// constraints — node label, self-loops, wildcard-labeled edges — are
-// checked.
-func (m *matcher) consistentSnap(x int, v graph.NodeID) bool {
 	switch lid := m.pl.varLid[x]; lid {
 	case labelWild:
 	case labelAbsent:
@@ -1199,17 +1077,4 @@ func (m *matcher) consistentSnap(x int, v graph.NodeID) bool {
 		}
 	}
 	return true
-}
-
-// HostHasCompatibleEdge reports whether h has an edge (src, ι′, dst)
-// with ι ⪯ ι′: the exact edge for a concrete pattern label (a
-// wildcard-labeled host edge is NOT matched by a concrete pattern label
-// under ⪯), any edge for the wildcard. It is the single home of that
-// asymmetric rule — the validator's re-check path shares it with the
-// matcher.
-func HostHasCompatibleEdge(h Host, src graph.NodeID, label graph.Label, dst graph.NodeID) bool {
-	if label != graph.Wildcard {
-		return h.HasEdge(src, label, dst)
-	}
-	return h.HasAnyEdge(src, dst)
 }

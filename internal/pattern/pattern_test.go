@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"slices"
 	"testing"
 
 	"gedlib/internal/graph"
@@ -126,6 +127,19 @@ func triangleGraph() *graph.Graph {
 	return g
 }
 
+// freezeChecked freezes g for matching q after checking that the
+// matcher and the brute-force reference find the same matches of q in
+// g, so the hand-built expectations below pin both.
+func freezeChecked(t *testing.T, q *Pattern, g *graph.Graph) *graph.Snapshot {
+	t.Helper()
+	snap := g.Freeze()
+	got, want := canonOf(q, FindMatches(q, snap, 0)), bruteForceMatches(q, g, nil)
+	if !slices.Equal(got, want) {
+		t.Fatalf("pattern %s: matcher found %q, brute-force reference %q", q, got, want)
+	}
+	return snap
+}
+
 func TestMatchSimpleEdge(t *testing.T) {
 	g := graph.New()
 	p1 := g.AddNode("person")
@@ -138,7 +152,7 @@ func TestMatchSimpleEdge(t *testing.T) {
 	q.AddVar("x", "person").AddVar("y", "product")
 	q.AddEdge("x", "create", "y")
 
-	ms := FindMatches(q, g, 0)
+	ms := FindMatches(q, freezeChecked(t, q, g), 0)
 	if len(ms) != 1 {
 		t.Fatalf("got %d matches, want 1", len(ms))
 	}
@@ -154,7 +168,7 @@ func TestMatchHomomorphismNotInjective(t *testing.T) {
 	u := g.AddNode("UoE")
 	q := New()
 	q.AddVar("x", "UoE").AddVar("y", "UoE")
-	ms := FindMatches(q, g, 0)
+	ms := FindMatches(q, freezeChecked(t, q, g), 0)
 	if len(ms) != 1 {
 		t.Fatalf("got %d matches, want 1", len(ms))
 	}
@@ -171,7 +185,7 @@ func TestMatchWildcardNodeLabel(t *testing.T) {
 	q := New()
 	q.AddVar("x", graph.Wildcard).AddVar("y", graph.Wildcard)
 	q.AddEdge("y", "is_a", "x")
-	ms := FindMatches(q, g, 0)
+	ms := FindMatches(q, freezeChecked(t, q, g), 0)
 	if len(ms) != 1 {
 		t.Fatalf("got %d matches, want 1", len(ms))
 	}
@@ -187,12 +201,12 @@ func TestConcreteLabelDoesNotMatchWildcardNode(t *testing.T) {
 	g.AddNode(graph.Wildcard)
 	q := New()
 	q.AddVar("x", "person")
-	if HasMatch(q, g) {
+	if HasMatch(q, freezeChecked(t, q, g)) {
 		t.Error("concrete label must not match wildcard node")
 	}
 	q2 := New()
 	q2.AddVar("x", graph.Wildcard)
-	if !HasMatch(q2, g) {
+	if !HasMatch(q2, freezeChecked(t, q2, g)) {
 		t.Error("wildcard label must match wildcard node")
 	}
 }
@@ -205,13 +219,13 @@ func TestMatchWildcardEdgeLabel(t *testing.T) {
 	q := New()
 	q.AddVar("u", "x").AddVar("v", "y")
 	q.AddEdge("u", graph.Wildcard, "v")
-	if !HasMatch(q, g) {
+	if !HasMatch(q, freezeChecked(t, q, g)) {
 		t.Error("wildcard edge label must match any edge")
 	}
 	q2 := New()
 	q2.AddVar("u", "x").AddVar("v", "y")
 	q2.AddEdge("u", "other", "v")
-	if HasMatch(q2, g) {
+	if HasMatch(q2, freezeChecked(t, q2, g)) {
 		t.Error("concrete edge label must not match different label")
 	}
 }
@@ -224,7 +238,7 @@ func TestConcreteEdgeLabelDoesNotMatchWildcardEdge(t *testing.T) {
 	q := New()
 	q.AddVar("u", "x").AddVar("v", "y")
 	q.AddEdge("u", "e", "v")
-	if HasMatch(q, g) {
+	if HasMatch(q, freezeChecked(t, q, g)) {
 		t.Error("concrete edge label must not match wildcard host edge")
 	}
 }
@@ -237,7 +251,7 @@ func TestTriangleColorings(t *testing.T) {
 	q.AddVar("u", "c").AddVar("v", "c")
 	q.AddEdge("u", "e", "v")
 	q.AddEdge("v", "e", "u")
-	if n := CountMatches(q, g); n != 6 {
+	if n := CountMatches(q, freezeChecked(t, q, g)); n != 6 {
 		t.Errorf("edge into K3: %d matches, want 6", n)
 	}
 	// A path of two edges: 3*2*2 = 12 homomorphisms.
@@ -245,7 +259,7 @@ func TestTriangleColorings(t *testing.T) {
 	q2.AddVar("a", "c").AddVar("b", "c").AddVar("c", "c")
 	q2.AddEdge("a", "e", "b")
 	q2.AddEdge("b", "e", "c")
-	if n := CountMatches(q2, g); n != 12 {
+	if n := CountMatches(q2, freezeChecked(t, q2, g)); n != 12 {
 		t.Errorf("path into K3: %d matches, want 12", n)
 	}
 	// Triangle into K3^sym: 3! = 6 proper colorings.
@@ -255,7 +269,7 @@ func TestTriangleColorings(t *testing.T) {
 		q3.AddEdge(e[0], "e", e[1])
 		q3.AddEdge(e[1], "e", e[0])
 	}
-	if n := CountMatches(q3, g); n != 6 {
+	if n := CountMatches(q3, freezeChecked(t, q3, g)); n != 6 {
 		t.Errorf("triangle into K3: %d matches, want 6", n)
 	}
 }
@@ -264,12 +278,14 @@ func TestSelfLoopPattern(t *testing.T) {
 	g := graph.New()
 	a := g.AddNode("x")
 	b := g.AddNode("x")
+	c := g.AddNode("x")
 	g.AddEdge(a, "e", a)
 	g.AddEdge(a, "e", b)
+	g.AddEdge(c, "f", c) // a self-loop under another label does not match
 	q := New()
 	q.AddVar("u", "x")
 	q.AddEdge("u", "e", "u")
-	ms := FindMatches(q, g, 0)
+	ms := FindMatches(q, freezeChecked(t, q, g), 0)
 	if len(ms) != 1 || ms[0]["u"] != a {
 		t.Errorf("self-loop matches: %v", ms)
 	}
@@ -278,7 +294,8 @@ func TestSelfLoopPattern(t *testing.T) {
 func TestEmptyPattern(t *testing.T) {
 	g := graph.New()
 	g.AddNode("x")
-	ms := FindMatches(New(), g, 0)
+	q := New()
+	ms := FindMatches(q, freezeChecked(t, q, g), 0)
 	if len(ms) != 1 {
 		t.Errorf("empty pattern must have exactly one match, got %d", len(ms))
 	}
@@ -291,7 +308,7 @@ func TestIsolatedVariables(t *testing.T) {
 	g.AddNode("b")
 	q := New()
 	q.AddVar("x", "a").AddVar("y", "b")
-	if n := CountMatches(q, g); n != 2 {
+	if n := CountMatches(q, freezeChecked(t, q, g)); n != 2 {
 		t.Errorf("isolated vars: %d matches, want 2", n)
 	}
 }
@@ -304,7 +321,7 @@ func TestNoMatchMissingEdge(t *testing.T) {
 	q := New()
 	q.AddVar("u", "x").AddVar("v", "y")
 	q.AddEdge("v", "e", "u") // reversed direction
-	if HasMatch(q, g) {
+	if HasMatch(q, freezeChecked(t, q, g)) {
 		t.Error("direction must be respected")
 	}
 }
@@ -316,10 +333,10 @@ func TestFindMatchesLimit(t *testing.T) {
 	}
 	q := New()
 	q.AddVar("x", "a")
-	if n := len(FindMatches(q, g, 3)); n != 3 {
+	if n := len(FindMatches(q, freezeChecked(t, q, g), 3)); n != 3 {
 		t.Errorf("limit: got %d, want 3", n)
 	}
-	if n := len(FindMatches(q, g, 0)); n != 10 {
+	if n := len(FindMatches(q, freezeChecked(t, q, g), 0)); n != 10 {
 		t.Errorf("no limit: got %d, want 10", n)
 	}
 }
@@ -332,7 +349,7 @@ func TestForEachMatchEarlyStop(t *testing.T) {
 	q := New()
 	q.AddVar("x", "a")
 	calls := 0
-	ForEachMatch(q, g, func(Match) bool {
+	ForEachMatch(q, g.Freeze(), func(Match) bool {
 		calls++
 		return calls < 5
 	})
@@ -348,7 +365,7 @@ func TestMatchReuseRequiresClone(t *testing.T) {
 	q := New()
 	q.AddVar("x", "a")
 	var kept []Match
-	ForEachMatch(q, g, func(m Match) bool {
+	ForEachMatch(q, g.Freeze(), func(m Match) bool {
 		kept = append(kept, m.Clone())
 		return true
 	})
@@ -369,7 +386,7 @@ func TestDisconnectedPatternComponents(t *testing.T) {
 	q.AddVar("u", "x").AddVar("v", "y").AddVar("s", "p").AddVar("t", "q")
 	q.AddEdge("u", "e", "v")
 	q.AddEdge("s", "f", "t")
-	ms := FindMatches(q, g, 0)
+	ms := FindMatches(q, freezeChecked(t, q, g), 0)
 	if len(ms) != 1 {
 		t.Fatalf("got %d matches, want 1", len(ms))
 	}
@@ -418,7 +435,7 @@ func TestLargeCycleMatch(t *testing.T) {
 	for i := range vars {
 		q.AddEdge(vars[i], "e", vars[(i+1)%n])
 	}
-	if got := CountMatches(q, g); got != n {
+	if got := CountMatches(q, freezeChecked(t, q, g)); got != n {
 		t.Errorf("cycle homs = %d, want %d", got, n)
 	}
 }

@@ -3,7 +3,7 @@ package pattern_test
 // Differential tests for the worst-case-optimal extension step: the
 // intersection path (multi-way sorted-run intersection with pushed-down
 // literal postings) must enumerate exactly the same match sets as the
-// legacy scan-and-probe path, on both hosts, across generated cyclic
+// legacy scan-and-probe path across generated cyclic
 // workloads — triangles, diamonds, 4-cliques, wildcard edges and
 // self-loops, the shapes where the two extension strategies diverge
 // most. testing/quick drives the seeds; CI runs the package under
@@ -95,30 +95,27 @@ func wcoHost(seed int64) *graph.Graph {
 	return g
 }
 
-// TestIntersectionMatchesProbe: on both hosts, for dense cyclic
-// patterns, the intersection path and the probe path enumerate the
-// same match sets.
+// TestIntersectionMatchesProbe: for dense cyclic patterns, the
+// intersection path and the probe path enumerate the same match sets.
 func TestIntersectionMatchesProbe(t *testing.T) {
 	f := func(seed int64) bool {
 		seed %= 1_000_000
 		g := wcoHost(seed)
 		snap := g.Freeze()
 		for _, p := range cyclicPatterns(seed) {
-			for _, host := range []pattern.Host{g, snap} {
-				var probe, isect []pattern.Match
-				pattern.CompileProbe(p, host).ForEachBound(nil, func(m pattern.Match) bool {
-					probe = append(probe, m.Clone())
-					return true
-				})
-				pattern.Compile(p, host).ForEachBound(nil, func(m pattern.Match) bool {
-					isect = append(isect, m.Clone())
-					return true
-				})
-				if !sameCanon(canonMatches(p, probe), canonMatches(p, isect)) {
-					t.Logf("seed %d host %T pattern %s: probe %d matches, intersection %d",
-						seed, host, p, len(probe), len(isect))
-					return false
-				}
+			var probe, isect []pattern.Match
+			pattern.CompileProbe(p, snap).ForEachBound(nil, func(m pattern.Match) bool {
+				probe = append(probe, m.Clone())
+				return true
+			})
+			pattern.Compile(p, snap).ForEachBound(nil, func(m pattern.Match) bool {
+				isect = append(isect, m.Clone())
+				return true
+			})
+			if !sameCanon(canonMatches(p, probe), canonMatches(p, isect)) {
+				t.Logf("seed %d pattern %s: probe %d matches, intersection %d",
+					seed, p, len(probe), len(isect))
+				return false
 			}
 		}
 		return true
@@ -130,8 +127,8 @@ func TestIntersectionMatchesProbe(t *testing.T) {
 
 // TestFilteredMatchesPostFilter: a plan with pushed-down constant
 // literals enumerates exactly the probe-path matches that survive
-// checking those literals post-match — on both hosts, including
-// filters over absent attributes and values.
+// checking those literals post-match, including filters over absent
+// attributes and values.
 func TestFilteredMatchesPostFilter(t *testing.T) {
 	f := func(seed int64) bool {
 		seed %= 1_000_000
@@ -152,32 +149,30 @@ func TestFilteredMatchesPostFilter(t *testing.T) {
 				}
 				filters = append(filters, pattern.ConstFilter{Var: v, Attr: a, Value: val})
 			}
-			holds := func(h pattern.Host, m pattern.Match) bool {
+			holds := func(m pattern.Match) bool {
 				for _, f := range filters {
-					got, ok := h.Attr(m[f.Var], f.Attr)
+					got, ok := snap.Attr(m[f.Var], f.Attr)
 					if !ok || !got.Equal(f.Value) {
 						return false
 					}
 				}
 				return true
 			}
-			for _, host := range []pattern.Host{g, snap} {
-				var want, got []pattern.Match
-				pattern.CompileProbe(p, host).ForEachBound(nil, func(m pattern.Match) bool {
-					if holds(host, m) {
-						want = append(want, m.Clone())
-					}
-					return true
-				})
-				pattern.CompileFiltered(p, host, filters).ForEachBound(nil, func(m pattern.Match) bool {
-					got = append(got, m.Clone())
-					return true
-				})
-				if !sameCanon(canonMatches(p, want), canonMatches(p, got)) {
-					t.Logf("seed %d host %T pattern %s filters %v: want %d matches, got %d",
-						seed, host, p, filters, len(want), len(got))
-					return false
+			var want, got []pattern.Match
+			pattern.CompileProbe(p, snap).ForEachBound(nil, func(m pattern.Match) bool {
+				if holds(m) {
+					want = append(want, m.Clone())
 				}
+				return true
+			})
+			pattern.CompileFiltered(p, snap, filters).ForEachBound(nil, func(m pattern.Match) bool {
+				got = append(got, m.Clone())
+				return true
+			})
+			if !sameCanon(canonMatches(p, want), canonMatches(p, got)) {
+				t.Logf("seed %d pattern %s filters %v: want %d matches, got %d",
+					seed, p, filters, len(want), len(got))
+				return false
 			}
 		}
 		return true
@@ -192,7 +187,7 @@ func TestFilteredMatchesPostFilter(t *testing.T) {
 // the probe-path pivot matches surviving the literal post-filter, for
 // both sorted candidate blocks (pre-intersected with the pivot's
 // postings) and unsorted ones (per-candidate filtering) — the shapes
-// ValidateTouching and the parallel validator feed it.
+// Validator.TouchingCtx and the parallel validator feed it.
 func TestPivotRoutesThroughIntersection(t *testing.T) {
 	f := func(seed int64) bool {
 		seed %= 1_000_000

@@ -1,11 +1,13 @@
 package reason
 
-// Differential and property tests for snapshot-backed validation: the
-// frozen-snapshot path must report exactly the same violation sets —
-// and, for the canonical-order APIs, the same violation order — as
-// matching directly over the mutable graph, across generated workloads.
-// The benchmarks compare the two paths head to head on the workload
-// generators' larger graphs.
+// Differential tests for the validators against the brute-force
+// reference (bruteForceViolations): full sequential, data-parallel and
+// touched-neighborhood validation over the frozen snapshot must report
+// exactly the violations, with the same evidence literal, that trying
+// every assignment over the mutable graph finds — and, for the
+// canonical-order operations, in the same order. The benchmarks measure
+// one-shot and cached-snapshot validation on the workload generators'
+// larger graphs.
 
 import (
 	"context"
@@ -71,42 +73,38 @@ func equalStrings(a, b []string) bool {
 }
 
 // TestValidateSnapshotDifferential: quick-generated workloads validate
-// to identical violation sets over both hosts, and the canonical-order
-// parallel path returns the identical ordered list on both.
+// to the reference's violation set, evidence included, and the
+// canonical-order parallel path returns the reference's ordered list.
 func TestValidateSnapshotDifferential(t *testing.T) {
 	ctx := context.Background()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed % 1_000_000))
 		sigma := randomSigma(rng)
 		g := randomGraph(rng)
-		snap := g.Freeze()
+		v := NewValidatorOn(g.Freeze(), sigma)
+		want := violationBytes(bruteForceViolations(g, sigma), sigma)
 
-		onGraph, _ := ValidateOnCtx(ctx, g, sigma, 0)
-		onSnap, _ := ValidateOnCtx(ctx, snap, sigma, 0)
-		if !equalStrings(canonViolations(onGraph, sigma), canonViolations(onSnap, sigma)) {
-			t.Logf("seed %d: violation sets differ (%d vs %d)", seed, len(onGraph), len(onSnap))
-			return false
-		}
-
-		// The canonical-order APIs must agree as ordered lists.
-		parGraph, _ := ValidateParallelOnCtx(ctx, g, sigma, 0, 4)
-		parSnap, _ := ValidateParallelOnCtx(ctx, snap, sigma, 0, 4)
-		if !equalStrings(orderedCanon(parGraph, sigma), orderedCanon(parSnap, sigma)) {
-			t.Logf("seed %d: canonical violation order differs", seed)
-			return false
-		}
-		// And both must be the canonical ordering of the sequential set.
-		seq := append([]Violation(nil), onSnap...)
+		seq, _ := v.RunCtx(ctx, 0)
 		sortViolations(seq, sigma)
-		return equalStrings(orderedCanon(parSnap, sigma), orderedCanon(seq, sigma))
+		if got := violationBytes(seq, sigma); got != want {
+			t.Logf("seed %d: sequential violations differ from the reference:\n got %q\nwant %q", seed, got, want)
+			return false
+		}
+		par, _ := v.RunParallelCtx(ctx, 0, 4)
+		if got := violationBytes(par, sigma); got != want {
+			t.Logf("seed %d: parallel violations or their order differ from the reference:\n got %q\nwant %q", seed, got, want)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestValidateTouchingSnapshotDifferential: the incremental path agrees
-// across hosts, order included (its contract is canonical order).
+// TestValidateTouchingSnapshotDifferential: the incremental path
+// reports exactly the reference violations binding a touched node,
+// order included (its contract is canonical order).
 func TestValidateTouchingSnapshotDifferential(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(401))
@@ -117,52 +115,49 @@ func TestValidateTouchingSnapshotDifferential(t *testing.T) {
 		for i := 0; i < 5 && i < g.NumNodes(); i++ {
 			touched = append(touched, graph.NodeID(rng.Intn(g.NumNodes())))
 		}
-		onGraph, _ := ValidateTouchingOnCtx(ctx, g, sigma, touched, 0)
-		onSnap, _ := ValidateTouchingOnCtx(ctx, g.Freeze(), sigma, touched, 0)
-		if !equalStrings(orderedCanon(onGraph, sigma), orderedCanon(onSnap, sigma)) {
-			t.Fatalf("trial %d: incremental violations differ across hosts", trial)
+		got, _ := NewValidatorOn(g.Freeze(), sigma).TouchingCtx(ctx, touched, 0)
+		want := touching(bruteForceViolations(g, sigma), touched)
+		if violationBytes(got, sigma) != violationBytes(want, sigma) {
+			t.Fatalf("trial %d: incremental violations differ from the reference:\n got %q\nwant %q",
+				trial, violationBytes(got, sigma), violationBytes(want, sigma))
 		}
 	}
 }
 
 // TestValidatorSnapshotSharing: a validator built on a shared snapshot
-// equals one that froze privately, and both equal plain validation.
+// equals one that froze privately, and both equal the reference.
 func TestValidatorSnapshotSharing(t *testing.T) {
+	ctx := context.Background()
 	g, _ := gen.KnowledgeBase(23, 60, 0.25)
 	sigma := ged.Set{gen.PaperPhi1(), gen.PaperPhi2(), gen.PaperPhi3(), gen.PaperPhi4()}
-	snap := g.Freeze()
-	a := canonViolations(NewValidatorOn(snap, sigma).Run(0), sigma)
-	b := canonViolations(NewValidator(g, sigma).Run(0), sigma)
-	c := canonViolations(Validate(g, sigma, 0), sigma)
+	shared, _ := NewValidatorOn(g.Freeze(), sigma).RunCtx(ctx, 0)
+	private, _ := NewValidator(g, sigma).RunCtx(ctx, 0)
+	a := canonViolations(shared, sigma)
+	b := canonViolations(private, sigma)
+	c := canonViolations(bruteForceViolations(g, sigma), sigma)
 	if !equalStrings(a, b) || !equalStrings(b, c) {
 		t.Fatalf("validator paths disagree: %d / %d / %d violations", len(a), len(b), len(c))
 	}
 }
 
-// ---- benchmarks: snapshot path vs mutable-graph path ----
+// ---- benchmarks: one-shot freeze + validate vs a cached snapshot ----
 
 func benchValidate(b *testing.B, scale int) {
 	g, _ := gen.KnowledgeBase(31, scale, 0.1)
 	sigma := ged.Set{gen.PaperPhi1(), gen.PaperPhi2(), gen.PaperPhi3(), gen.PaperPhi4()}
 	ctx := context.Background()
-	b.Run("graph", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ValidateOnCtx(ctx, g, sigma, 0)
-		}
-	})
 	b.Run("snapshot", func(b *testing.B) {
-		// Freeze cost is included: this is the end-to-end Validate path.
+		// Freeze cost is included: this is the one-shot path.
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ValidateOnCtx(ctx, g.Freeze(), sigma, 0)
+			NewValidator(g, sigma).RunCtx(ctx, 0)
 		}
 	})
 	b.Run("snapshot-cached", func(b *testing.B) {
 		snap := g.Freeze()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ValidateOnCtx(ctx, snap, sigma, 0)
+			NewValidatorOn(snap, sigma).RunCtx(ctx, 0)
 		}
 	})
 }
@@ -175,14 +170,7 @@ func BenchmarkValidateSpamHosts(b *testing.B) {
 	g, _ := gen.SocialNetwork(7, 12, 14)
 	sigma := ged.Set{gen.PaperPhi5(2)}
 	ctx := context.Background()
-	b.Run("graph", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ValidateOnCtx(ctx, g, sigma, 0)
-		}
-	})
-	b.Run("snapshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ValidateOnCtx(ctx, g.Freeze(), sigma, 0)
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		NewValidator(g, sigma).RunCtx(ctx, 0)
+	}
 }

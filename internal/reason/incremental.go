@@ -9,15 +9,14 @@ import (
 	"gedlib/internal/pattern"
 )
 
-// ValidateTouching finds the violations of Σ whose match involves at
-// least one of the given nodes. After a localized update (attribute
-// writes or edge insertions around a handful of nodes), the *new*
-// violations all touch an updated node, so re-checking only those
-// matches — rather than re-enumerating every match of every pattern —
-// gives incremental validation:
+// TouchingCtx finds the violations of Σ whose match involves at least
+// one of the given nodes. After a localized update (attribute writes or
+// edge insertions around a handful of nodes), the *new* violations all
+// touch an updated node, so re-checking only those matches — rather
+// than re-enumerating every match of every pattern — gives incremental
+// validation over a validator rebased onto the post-update snapshot:
 //
-//	dirty := g mutated at nodes N
-//	newViolations := ValidateTouching(dirty, sigma, N, 0)
+//	newViolations, err := v.Rebase(snap.Apply(delta)).TouchingCtx(ctx, delta.TouchedNodes(), 0)
 //
 // Deletions are different: removing an edge or attribute can only
 // *remove* violations (matches and antecedent satisfactions are
@@ -27,44 +26,21 @@ import (
 // it from the graph's own change journal.
 //
 // Matches touching several affected nodes are reported once. The result
-// order is canonical, as in ValidateParallel.
-func ValidateTouching(g *graph.Graph, sigma ged.Set, nodes []graph.NodeID, limit int) []Violation {
-	out, _ := ValidateTouchingCtx(context.Background(), g, sigma, nodes, limit)
-	return out
-}
-
-// ValidateTouchingCtx is ValidateTouching with cooperative cancellation,
-// checked between candidate matches; the violations found before the
-// abort are returned alongside ctx's error.
-func ValidateTouchingCtx(ctx context.Context, g *graph.Graph, sigma ged.Set, nodes []graph.NodeID, limit int) ([]Violation, error) {
-	return ValidateTouchingOnCtx(ctx, g, sigma, nodes, limit)
-}
-
-// ValidateTouchingOnCtx is ValidateTouchingCtx over any matcher host:
-// a delta-maintained snapshot of the post-update graph (the fast path
-// the Engine uses), or the mutable graph itself. Plans are compiled per
-// call; a Validator's TouchingCtx reuses its prepared plans instead.
-func ValidateTouchingOnCtx(ctx context.Context, h pattern.Host, sigma ged.Set, nodes []graph.NodeID, limit int) ([]Violation, error) {
+// order is canonical, as in RunParallelCtx. ctx is checked between
+// candidate matches; the violations found before an abort are returned
+// alongside ctx's error.
+func (v *Validator) TouchingCtx(ctx context.Context, nodes []graph.NodeID, limit int) ([]Violation, error) {
 	if len(nodes) == 0 {
-		// The empty delta touches nothing: no plan compilation, no
-		// per-GED sort/dedup bookkeeping.
+		// The empty delta touches nothing: no per-GED sort/dedup
+		// bookkeeping.
 		return nil, ctx.Err()
 	}
-	return validateTouching(ctx, h, sigma, nodes, limit, func(i int) *pattern.Plan {
-		return pattern.CompileFiltered(sigma[i].Pattern, h, PushdownFilters(sigma[i]))
-	})
-}
-
-// validateTouching is the shared touched-neighborhood core: plans come
-// from planOf, so one-shot callers compile on the fly while prepared
-// validators hand out cached plans.
-func validateTouching(ctx context.Context, h pattern.Host, sigma ged.Set, nodes []graph.NodeID, limit int, planOf func(int) *pattern.Plan) ([]Violation, error) {
 	var out []Violation
 	var ctxErr error
 	stop := func() bool { return ctx.Err() != nil }
 	var seen seenSet
-	for gi, d := range sigma {
-		pl := planOf(gi)
+	for gi, d := range v.sigma {
+		pl := v.plans[gi]
 		vars := d.Pattern.Vars()
 		for _, pivot := range vars {
 			pl.ForEachPivotCancel(pivot, nodes, stop, func(m pattern.Match) bool {
@@ -77,12 +53,12 @@ func validateTouching(ctx context.Context, h pattern.Host, sigma ged.Set, nodes 
 					return true
 				}
 				for _, l := range d.X {
-					if !HoldsInGraph(h, l, m) {
+					if !HoldsInGraph(v.snap, l, m) {
 						return true
 					}
 				}
 				for _, l := range d.Y {
-					if !HoldsInGraph(h, l, m) {
+					if !HoldsInGraph(v.snap, l, m) {
 						out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
 						break
 					}
@@ -99,7 +75,7 @@ func validateTouching(ctx context.Context, h pattern.Host, sigma ged.Set, nodes 
 		}
 	}
 	// Partial results keep the contract: canonical order, limit applied.
-	sortViolations(out, sigma)
+	sortViolations(out, v.sigma)
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
@@ -107,11 +83,11 @@ func validateTouching(ctx context.Context, h pattern.Host, sigma ged.Set, nodes 
 }
 
 // StillViolating re-checks a previously-found violation against the
-// current state of a host (graph or snapshot): the match must still
-// exist (labels and edges), the antecedent must still hold, and some
-// consequent literal must still fail.
-func StillViolating(h pattern.Host, v Violation) bool {
-	_, ok := FailingLiteral(h, v)
+// current state of a snapshot: the match must still exist (labels and
+// edges), the antecedent must still hold, and some consequent literal
+// must still fail.
+func StillViolating(snap *graph.Snapshot, v Violation) bool {
+	_, ok := FailingLiteral(snap, v)
 	return ok
 }
 
@@ -120,29 +96,37 @@ func StillViolating(h pattern.Host, v Violation) bool {
 // recorded v.Literal — an update can fix the recorded literal while
 // breaking another — which is why maintained stores must refresh their
 // entries from it rather than keep the stale one.
-func FailingLiteral(h pattern.Host, v Violation) (ged.Literal, bool) {
+func FailingLiteral(snap *graph.Snapshot, v Violation) (ged.Literal, bool) {
 	// Nodes must still exist.
 	for _, x := range v.GED.Pattern.Vars() {
 		n, ok := v.Match[x]
-		if !ok || int(n) >= h.NumNodes() {
+		if !ok || int(n) >= snap.NumNodes() {
 			return ged.Literal{}, false
 		}
-		if !graph.LabelMatches(v.GED.Pattern.Label(x), h.Label(n)) {
+		if !graph.LabelMatches(v.GED.Pattern.Label(x), snap.Label(n)) {
 			return ged.Literal{}, false
 		}
 	}
+	// Edges must still exist under ⪯: the exact edge for a concrete
+	// pattern label (a wildcard-labeled host edge is not matched by a
+	// concrete label), any edge for the wildcard.
 	for _, e := range v.GED.Pattern.Edges() {
-		if !pattern.HostHasCompatibleEdge(h, v.Match[e.Src], e.Label, v.Match[e.Dst]) {
+		src, dst := v.Match[e.Src], v.Match[e.Dst]
+		if e.Label == graph.Wildcard {
+			if !snap.HasAnyEdge(src, dst) {
+				return ged.Literal{}, false
+			}
+		} else if !snap.HasEdge(src, e.Label, dst) {
 			return ged.Literal{}, false
 		}
 	}
 	for _, l := range v.GED.X {
-		if !HoldsInGraph(h, l, v.Match) {
+		if !HoldsInGraph(snap, l, v.Match) {
 			return ged.Literal{}, false
 		}
 	}
 	for _, l := range v.GED.Y {
-		if !HoldsInGraph(h, l, v.Match) {
+		if !HoldsInGraph(snap, l, v.Match) {
 			return l, true
 		}
 	}

@@ -31,8 +31,8 @@ func TestValidateTouchingFindsNewViolation(t *testing.T) {
 	}
 	g.SetAttr(dev, "type", graph.String("psychologist"))
 
-	inc := ValidateTouching(g, sigma, []graph.NodeID{dev}, 0)
-	full := Validate(g, sigma, 0)
+	inc := validateTouching(g, sigma, []graph.NodeID{dev})
+	full := validate(g, sigma, 0)
 	if len(inc) != len(full) {
 		t.Fatalf("incremental found %d, full %d", len(inc), len(full))
 	}
@@ -43,14 +43,14 @@ func TestValidateTouchingFindsNewViolation(t *testing.T) {
 
 // TestValidateTouchingEqualsFullOnRandomUpdates: after mutating a few
 // nodes of a clean-ish graph, incremental (over the touched nodes) and
-// full validation agree on all violations touching them; and every new
-// violation touches a mutated node.
+// full validation agree on all violations touching them, and full
+// validation agrees with the brute-force reference.
 func TestValidateTouchingEqualsFullOnRandomUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 30; trial++ {
 		sigma := randomSigma(rng)
 		g := randomGraph(rng)
-		before := canonViolations(Validate(g, sigma, 0), sigma)
+		before := canonViolations(validate(g, sigma, 0), sigma)
 
 		// Mutate 1-2 nodes.
 		var touched []graph.NodeID
@@ -59,25 +59,15 @@ func TestValidateTouchingEqualsFullOnRandomUpdates(t *testing.T) {
 			g.SetAttr(n, "p", graph.Int(rng.Intn(2)))
 			touched = append(touched, n)
 		}
-		full := Validate(g, sigma, 0)
-		inc := ValidateTouching(g, sigma, touched, 0)
+		full := validate(g, sigma, 0)
+		inc := validateTouching(g, sigma, touched)
+		if a, b := canonViolations(full, sigma), canonViolations(bruteForceViolations(g, sigma), sigma); !equalStrings(a, b) {
+			t.Fatalf("trial %d: full validate finds %d violations, reference %d", trial, len(a), len(b))
+		}
 
 		// Every violation in full that touches a mutated node must be in
 		// inc, and vice versa.
-		touchedSet := map[graph.NodeID]bool{}
-		for _, n := range touched {
-			touchedSet[n] = true
-		}
-		var fullTouching []Violation
-		for _, v := range full {
-			for _, x := range v.GED.Pattern.Vars() {
-				if touchedSet[v.Match[x]] {
-					fullTouching = append(fullTouching, v)
-					break
-				}
-			}
-		}
-		a := canonViolations(fullTouching, sigma)
+		a := canonViolations(touching(full, touched), sigma)
 		b := canonViolations(inc, sigma)
 		if len(a) != len(b) {
 			t.Fatalf("trial %d: touching sets differ: full=%d inc=%d (before=%d)",
@@ -97,22 +87,22 @@ func TestStillViolating(t *testing.T) {
 	game := g.AddNodeAttrs("product", map[graph.Attr]graph.Value{"type": graph.String("video game")})
 	g.AddEdge(dev, "create", game)
 	sigma := ged.Set{gen.PaperPhi1()}
-	vs := Validate(g, sigma, 0)
+	vs := validate(g, sigma, 0)
 	if len(vs) != 1 {
 		t.Fatal("expected one violation")
 	}
-	if !StillViolating(g, vs[0]) {
+	if !StillViolating(g.Freeze(), vs[0]) {
 		t.Error("fresh violation must still be violating")
 	}
 	// Repairing the attribute clears it.
 	g.SetAttr(dev, "type", graph.String("programmer"))
-	if StillViolating(g, vs[0]) {
+	if StillViolating(g.Freeze(), vs[0]) {
 		t.Error("repaired violation must clear")
 	}
 	// Breaking the antecedent also clears it.
 	g.SetAttr(dev, "type", graph.String("psychologist"))
 	g.SetAttr(game, "type", graph.String("board game"))
-	if StillViolating(g, vs[0]) {
+	if StillViolating(g.Freeze(), vs[0]) {
 		t.Error("antecedent no longer holds; violation must clear")
 	}
 }
@@ -126,8 +116,8 @@ func TestValidateTouchingDedup(t *testing.T) {
 	g.AddEdge(c, "capital", y)
 	g.AddEdge(c, "capital", z)
 	sigma := ged.Set{gen.PaperPhi2()}
-	inc := ValidateTouching(g, sigma, []graph.NodeID{y, z, c}, 0)
-	full := Validate(g, sigma, 0)
+	inc := validateTouching(g, sigma, []graph.NodeID{y, z, c})
+	full := validate(g, sigma, 0)
 	if len(inc) != len(full) {
 		t.Errorf("dedup broken: inc=%d full=%d", len(inc), len(full))
 	}

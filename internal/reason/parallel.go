@@ -12,14 +12,14 @@ import (
 	"gedlib/internal/pattern"
 )
 
-// ValidateParallel is the data-parallel validator, a first step toward
+// RunParallelCtx is the data-parallel validator, a first step toward
 // the "parallel scalable algorithms for reasoning about GEDs" the paper
-// leaves as future work (Section 9). The graph is frozen once into a
-// read-only snapshot shared by every worker; the match space of each
-// GED is partitioned by pre-binding a pivot variable — the most
-// selective constant-literal access path of the antecedent when the
-// snapshot's attribute index beats the label postings, the smallest
-// label candidate set otherwise — to disjoint candidate blocks; workers
+// leaves as future work (Section 9). Every worker shares the
+// validator's snapshot and compiled plans; the match space of each GED
+// is partitioned by pre-binding a pivot variable — the most selective
+// constant-literal access path of the antecedent when the snapshot's
+// attribute index beats the label postings, the smallest label
+// candidate set otherwise — to disjoint candidate blocks; workers
 // search the partitions independently and merge their violation lists.
 //
 // The result is deterministic: violations are returned in the same
@@ -30,46 +30,22 @@ import (
 // prefix is the canonically-least limit violations and is likewise
 // deterministic across runs and worker counts.
 //
-// workers ≤ 0 selects GOMAXPROCS. limit ≤ 0 returns all violations.
-func ValidateParallel(g *graph.Graph, sigma ged.Set, limit, workers int) []Violation {
-	out, _ := ValidateParallelCtx(context.Background(), g, sigma, limit, workers)
-	return out
-}
-
-// ValidateParallelCtx is ValidateParallel with cooperative cancellation:
-// every worker checks ctx between candidate matches and between tasks,
-// so a cancelled context drains the whole pool promptly. The (canonical,
-// possibly partial) violations found before the abort are returned
-// alongside ctx's error.
-func ValidateParallelCtx(ctx context.Context, g *graph.Graph, sigma ged.Set, limit, workers int) ([]Violation, error) {
-	return ValidateParallelOnCtx(ctx, g.Freeze(), sigma, limit, workers)
-}
-
-// ValidateParallelOnCtx is ValidateParallelCtx over any matcher host —
-// normally a pre-built *graph.Snapshot shared across calls; a mutable
-// *graph.Graph also works and returns identical results.
-func ValidateParallelOnCtx(ctx context.Context, h pattern.Host, sigma ged.Set, limit, workers int) ([]Violation, error) {
+// Every worker checks ctx between candidate matches and between tasks,
+// so a cancelled context drains the whole pool promptly; the
+// (canonical, possibly partial) violations found before the abort are
+// returned alongside ctx's error.
+//
+// workers ≤ 0 selects GOMAXPROCS; workers == 1 is RunCtx. limit ≤ 0
+// returns all violations.
+func (v *Validator) RunParallelCtx(ctx context.Context, limit, workers int) ([]Violation, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 {
-		return ValidateOnCtx(ctx, h, sigma, limit)
+		return v.RunCtx(ctx, limit)
 	}
-	return validateParallel(ctx, h, sigma, limit, workers,
-		func(i int) *pattern.Plan {
-			return pattern.CompileFiltered(sigma[i].Pattern, h, PushdownFilters(sigma[i]))
-		},
-		func(i int) (pattern.Var, []graph.NodeID) { return pivotFor(sigma[i], h) })
-}
-
-// validateParallel is the shared data-parallel core: plans and pivots
-// come from the callbacks, so one-shot callers compile on the fly while
-// prepared validators hand out cached state.
-func validateParallel(ctx context.Context, h pattern.Host, sigma ged.Set, limit, workers int,
-	planOf func(int) *pattern.Plan, pivotOf func(int) (pattern.Var, []graph.NodeID)) ([]Violation, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	v.ensurePivots()
+	sigma := v.sigma
 
 	// One compiled plan per GED, shared by all workers; tasks are
 	// candidate blocks of the GED's pivot variable.
@@ -78,12 +54,16 @@ func validateParallel(ctx context.Context, h pattern.Host, sigma ged.Set, limit,
 		pivot  pattern.Var
 		cands  []graph.NodeID // nil means "run unpartitioned"
 	}
-	plans := make([]*pattern.Plan, len(sigma))
 	var tasks []task
 	for gi := range sigma {
-		plans[gi] = planOf(gi)
-		v, cands := pivotOf(gi)
-		if v == "" {
+		var pivot pattern.Var
+		var cands []graph.NodeID
+		if p := v.pivots[gi]; p != nil {
+			pivot, cands = p.variable, p.cands
+		} else {
+			pivot, cands = pivotVar(sigma[gi].Pattern, v.snap)
+		}
+		if pivot == "" {
 			tasks = append(tasks, task{gedIdx: gi})
 			continue
 		}
@@ -97,7 +77,7 @@ func validateParallel(ctx context.Context, h pattern.Host, sigma ged.Set, limit,
 			if hi > len(cands) {
 				hi = len(cands)
 			}
-			tasks = append(tasks, task{gedIdx: gi, pivot: v, cands: cands[lo:hi]})
+			tasks = append(tasks, task{gedIdx: gi, pivot: pivot, cands: cands[lo:hi]})
 		}
 	}
 
@@ -121,18 +101,18 @@ func validateParallel(ctx context.Context, h pattern.Host, sigma ged.Set, limit,
 					break
 				}
 				d := sigma[t.gedIdx]
-				pl := plans[t.gedIdx]
+				pl := v.plans[t.gedIdx]
 				collect := func(m pattern.Match) bool {
 					if ctx.Err() != nil {
 						return false
 					}
 					for _, l := range d.X {
-						if !HoldsInGraph(h, l, m) {
+						if !HoldsInGraph(v.snap, l, m) {
 							return true
 						}
 					}
 					for _, l := range d.Y {
-						if !HoldsInGraph(h, l, m) {
+						if !HoldsInGraph(v.snap, l, m) {
 							local = append(local, Violation{GED: d, Match: m.Clone(), Literal: l})
 							break
 						}
@@ -161,43 +141,18 @@ func validateParallel(ctx context.Context, h pattern.Host, sigma ged.Set, limit,
 	return out, ctx.Err()
 }
 
-// pivotFor selects the partitioning variable of d's match space. On a
-// snapshot host the most selective constant literal of the antecedent
-// is pushed down into the folded-in attribute index first — matches
-// outside its postings cannot satisfy the antecedent, so restricting
-// the pivot to them loses no violations; when no constant literal beats
-// the label postings the label-based pivotVar is used.
-func pivotFor(d *ged.GED, h pattern.Host) (pattern.Var, []graph.NodeID) {
-	if snap, ok := h.(*graph.Snapshot); ok {
-		if p := choosePivot(d, snap); p != nil {
-			return p.variable, p.cands
-		}
-	}
-	return pivotVar(d.Pattern, h)
-}
-
 // pivotVar picks the variable with the smallest candidate set, breaking
-// ties toward the label with the higher average degree when the host
-// exposes degree statistics, and returns its candidates. An empty
-// pattern returns "".
-func pivotVar(p *pattern.Pattern, h pattern.Host) (pattern.Var, []graph.NodeID) {
-	stats, hasStats := h.(interface {
-		LabelAvgDegree(graph.Label) float64
-	})
-	avgDeg := func(l graph.Label) float64 {
-		if !hasStats {
-			return 0
-		}
-		return stats.LabelAvgDegree(l)
-	}
+// ties toward the label with the higher average degree, and returns its
+// candidates. An empty pattern returns "".
+func pivotVar(p *pattern.Pattern, snap *graph.Snapshot) (pattern.Var, []graph.NodeID) {
 	var best pattern.Var
 	var bestCands []graph.NodeID
 	for _, v := range p.Vars() {
-		c := h.CandidateNodes(p.Label(v))
+		c := snap.CandidateNodes(p.Label(v))
 		switch {
 		case best == "" || len(c) < len(bestCands):
 			best, bestCands = v, c
-		case len(c) == len(bestCands) && avgDeg(p.Label(v)) > avgDeg(p.Label(best)):
+		case len(c) == len(bestCands) && snap.LabelAvgDegree(p.Label(v)) > snap.LabelAvgDegree(p.Label(best)):
 			best, bestCands = v, c
 		}
 	}

@@ -37,9 +37,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		sigma := randomSigma(rng)
 		g := randomGraph(rng)
-		want := canonViolations(Validate(g, sigma, 0), sigma)
+		want := canonViolations(validate(g, sigma, 0), sigma)
 		for _, workers := range []int{1, 2, 4, 8} {
-			got := canonViolations(ValidateParallel(g, sigma, 0, workers), sigma)
+			got := canonViolations(validateParallel(g, sigma, 0, workers), sigma)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d workers %d: %d violations vs %d sequential",
 					trial, workers, len(got), len(want))
@@ -59,9 +59,9 @@ func TestParallelDeterministicOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	sigma := randomSigma(rng)
 	g := randomGraph(rng)
-	first := ValidateParallel(g, sigma, 0, 4)
+	first := validateParallel(g, sigma, 0, 4)
 	for i := 0; i < 5; i++ {
-		again := ValidateParallel(g, sigma, 0, 4)
+		again := validateParallel(g, sigma, 0, 4)
 		if len(again) != len(first) {
 			t.Fatal("violation count changed between runs")
 		}
@@ -81,7 +81,7 @@ func TestParallelLimit(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		g.AddNode("p")
 	}
-	vs := ValidateParallel(g, ged.Set{phi}, 5, 4)
+	vs := validateParallel(g, ged.Set{phi}, 5, 4)
 	if len(vs) != 5 {
 		t.Errorf("limit 5: got %d", len(vs))
 	}
@@ -90,7 +90,7 @@ func TestParallelLimit(t *testing.T) {
 func TestParallelEmptyPattern(t *testing.T) {
 	phi := ged.New("e", pattern.New(), nil, nil)
 	g := randomGraph(rand.New(rand.NewSource(2)))
-	if n := len(ValidateParallel(g, ged.Set{phi}, 0, 4)); n != 0 {
+	if n := len(validateParallel(g, ged.Set{phi}, 0, 4)); n != 0 {
 		t.Errorf("empty consequent can never be violated, got %d", n)
 	}
 }
@@ -100,10 +100,11 @@ func TestForEachMatchBound(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(3)))
 	q := pattern.New()
 	q.AddVar("x", "a").AddVar("y", "b")
-	total := pattern.CountMatches(q, g)
+	snap := g.Freeze()
+	total := pattern.CountMatches(q, snap)
 	sum := 0
 	for _, c := range g.CandidateNodes("a") {
-		pattern.ForEachMatchBound(q, g, pattern.Match{"x": c}, func(pattern.Match) bool {
+		pattern.ForEachMatchBound(q, snap, pattern.Match{"x": c}, func(pattern.Match) bool {
 			sum++
 			return true
 		})
@@ -114,7 +115,7 @@ func TestForEachMatchBound(t *testing.T) {
 	// A label-violating pre-binding yields nothing.
 	for _, c := range g.CandidateNodes("b") {
 		found := false
-		pattern.ForEachMatchBound(q, g, pattern.Match{"x": c}, func(pattern.Match) bool {
+		pattern.ForEachMatchBound(q, snap, pattern.Match{"x": c}, func(pattern.Match) bool {
 			found = true
 			return false
 		})
@@ -124,7 +125,7 @@ func TestForEachMatchBound(t *testing.T) {
 	}
 	// An unknown variable yields nothing.
 	count := 0
-	pattern.ForEachMatchBound(q, g, pattern.Match{"zzz": 0}, func(pattern.Match) bool {
+	pattern.ForEachMatchBound(q, snap, pattern.Match{"zzz": 0}, func(pattern.Match) bool {
 		count++
 		return true
 	})

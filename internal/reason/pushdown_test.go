@@ -20,18 +20,18 @@ import (
 
 // probeOracleValidate is the legacy enumeration: probe plans, no
 // pushdown, all literals checked after a full match materializes.
-func probeOracleValidate(h pattern.Host, sigma ged.Set) []Violation {
+func probeOracleValidate(snap *graph.Snapshot, sigma ged.Set) []Violation {
 	var out []Violation
 	for _, d := range sigma {
 		d := d
-		pattern.CompileProbe(d.Pattern, h).ForEachBound(nil, func(m pattern.Match) bool {
+		pattern.CompileProbe(d.Pattern, snap).ForEachBound(nil, func(m pattern.Match) bool {
 			for _, l := range d.X {
-				if !HoldsInGraph(h, l, m) {
+				if !HoldsInGraph(snap, l, m) {
 					return true
 				}
 			}
 			for _, l := range d.Y {
-				if !HoldsInGraph(h, l, m) {
+				if !HoldsInGraph(snap, l, m) {
 					out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
 					break
 				}
@@ -85,9 +85,8 @@ func pushdownWorkload(seed int64) (*graph.Graph, ged.Set) {
 	return g, sigma
 }
 
-// TestPushdownViolationsByteIdentical: sequential, parallel and
-// prepared-validator validation over both hosts agree byte-for-byte
-// with the probe-path oracle.
+// TestPushdownViolationsByteIdentical: sequential and parallel
+// validation agree byte-for-byte with the probe-path oracle.
 func TestPushdownViolationsByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	f := func(seed int64) bool {
@@ -102,11 +101,10 @@ func TestPushdownViolationsByteIdentical(t *testing.T) {
 			}
 			return vs
 		}
+		v := NewValidatorOn(snap, sigma)
 		for name, got := range map[string][]Violation{
-			"graph":    must(ValidateOnCtx(ctx, g, sigma, 0)),
-			"snapshot": must(ValidateOnCtx(ctx, snap, sigma, 0)),
-			"parallel": must(ValidateParallelOnCtx(ctx, snap, sigma, 0, 4)),
-			"prepared": NewValidatorOn(snap, sigma).Run(0),
+			"sequential": must(v.RunCtx(ctx, 0)),
+			"parallel":   must(v.RunParallelCtx(ctx, 0, 4)),
 		} {
 			canon := append([]Violation(nil), got...)
 			sortViolations(canon, sigma)
@@ -152,15 +150,13 @@ func TestPushdownTouchingByteIdentical(t *testing.T) {
 				want = append(want, v)
 			}
 		}
-		for _, host := range []pattern.Host{g, snap} {
-			got, err := ValidateTouchingOnCtx(ctx, host, sigma, touched, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if violationBytes(got, sigma) != violationBytes(want, sigma) {
-				t.Logf("seed %d host %T: touching diverges", seed, host)
-				return false
-			}
+		got, err := NewValidatorOn(snap, sigma).TouchingCtx(ctx, touched, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if violationBytes(got, sigma) != violationBytes(want, sigma) {
+			t.Logf("seed %d: touching diverges", seed)
+			return false
 		}
 		return true
 	}

@@ -132,90 +132,28 @@ type Violation struct {
 	Literal ged.Literal
 }
 
-// Validate finds violations of Σ in G, up to limit (limit <= 0 means
-// all). G ⊨ Σ iff the result is empty (Section 5.3).
-func Validate(g *graph.Graph, sigma ged.Set, limit int) []Violation {
-	out, _ := ValidateCtx(context.Background(), g, sigma, limit)
-	return out
-}
-
-// ValidateCtx is Validate with cooperative cancellation: ctx is checked
-// between candidate matches and, via the matcher's abort hook, inside
-// the backtracking search itself — so a cancelled context aborts even a
-// match-free exponential exploration. The violations found so far are
-// returned alongside ctx's error.
-//
-// The graph is frozen once into a read-only snapshot shared across all
-// of Σ's match enumerations; to validate against a pre-built snapshot
-// (or directly against the mutable graph) use ValidateOnCtx.
-func ValidateCtx(ctx context.Context, g *graph.Graph, sigma ged.Set, limit int) ([]Violation, error) {
-	return ValidateOnCtx(ctx, g.Freeze(), sigma, limit)
-}
-
-// ValidateOnCtx is ValidateCtx over any matcher host: a frozen
-// *graph.Snapshot (the fast path) or a mutable *graph.Graph. With
-// limit <= 0 both hosts return exactly the same violation sets; a
-// positive limit truncates in enumeration order, which may differ
-// between hosts (snapshots enumerate neighbors in (label, id) order,
-// graphs in insertion order), so the reported prefix can differ even
-// though the full sets agree.
-func ValidateOnCtx(ctx context.Context, h pattern.Host, sigma ged.Set, limit int) ([]Violation, error) {
-	var out []Violation
-	stop := func() bool { return ctx.Err() != nil }
-	for _, d := range sigma {
-		d := d
-		// Constant antecedent literals are pushed down into the plan, so
-		// the enumeration below only ever surfaces matches that already
-		// satisfy them; the in-callback X check covers the rest (variable
-		// and id literals).
-		pl := pattern.CompileFiltered(d.Pattern, h, PushdownFilters(d))
-		pl.ForEachBoundCancel(nil, stop, func(m pattern.Match) bool {
-			if ctx.Err() != nil {
-				return false
-			}
-			for _, l := range d.X {
-				if !HoldsInGraph(h, l, m) {
-					return true
-				}
-			}
-			for _, l := range d.Y {
-				if !HoldsInGraph(h, l, m) {
-					out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
-					break
-				}
-			}
-			return limit <= 0 || len(out) < limit
-		})
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out, nil
-}
-
-// Satisfies reports G ⊨ Σ.
+// Satisfies reports G ⊨ Σ (Section 5.3). It freezes g once and stops
+// at the first violation; for repeated checks, cancellation or the
+// violations themselves use a Validator.
 func Satisfies(g *graph.Graph, sigma ged.Set) bool {
-	return len(Validate(g, sigma, 1)) == 0
+	return NewValidator(g, sigma).Satisfies()
 }
 
 // HoldsInGraph evaluates h(x̄) ⊨ l directly against the stored attribute
-// values of the host (a graph or a snapshot), with the paper's existence
-// semantics: a literal over a missing attribute is false.
-func HoldsInGraph(h pattern.Host, l ged.Literal, m pattern.Match) bool {
+// values of the snapshot, with the paper's existence semantics: a
+// literal over a missing attribute is false.
+func HoldsInGraph(snap *graph.Snapshot, l ged.Literal, m pattern.Match) bool {
 	k, ok := l.Kind()
 	if !ok {
 		panic("reason: non-GED literal in validation")
 	}
 	switch k {
 	case ged.ConstLiteral:
-		v, ok := h.Attr(m[l.Left.Var], l.Left.Attr)
+		v, ok := snap.Attr(m[l.Left.Var], l.Left.Attr)
 		return ok && v.Equal(l.Right.Const)
 	case ged.VarLiteral:
-		v1, ok1 := h.Attr(m[l.Left.Var], l.Left.Attr)
-		v2, ok2 := h.Attr(m[l.Right.Var], l.Right.Attr)
+		v1, ok1 := snap.Attr(m[l.Left.Var], l.Left.Attr)
+		v2, ok2 := snap.Attr(m[l.Right.Var], l.Right.Attr)
 		return ok1 && ok2 && v1.Equal(v2)
 	default:
 		return m[l.Left.Var] == m[l.Right.Var]
@@ -226,9 +164,12 @@ func HoldsInGraph(h pattern.Host, l ged.Literal, m pattern.Match) bool {
 // definition: every pattern of Σ has a match in g. CheckSat's models
 // have this by construction; the check is exposed for tests and tools.
 func ModelHasAllPatterns(g *graph.Graph, sigma ged.Set) bool {
-	h := g.Freeze()
+	return hasAllPatterns(g.Freeze(), sigma)
+}
+
+func hasAllPatterns(snap *graph.Snapshot, sigma ged.Set) bool {
 	for _, d := range sigma {
-		if !pattern.HasMatch(d.Pattern, h) {
+		if !pattern.HasMatch(d.Pattern, snap) {
 			return false
 		}
 	}
@@ -236,7 +177,8 @@ func ModelHasAllPatterns(g *graph.Graph, sigma ged.Set) bool {
 }
 
 // IsModel reports whether g is a model of Σ: g ⊨ Σ and every pattern of
-// Σ has a match in g.
+// Σ has a match in g. Both checks run on one frozen snapshot.
 func IsModel(g *graph.Graph, sigma ged.Set) bool {
-	return Satisfies(g, sigma) && ModelHasAllPatterns(g, sigma)
+	v := NewValidator(g, sigma)
+	return v.Satisfies() && hasAllPatterns(v.snap, sigma)
 }

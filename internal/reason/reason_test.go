@@ -1,6 +1,7 @@
 package reason
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -231,7 +232,7 @@ func TestValidationVideoGame(t *testing.T) {
 		"name": graph.String("Ghetto Blaster"), "type": graph.String("video game")})
 	g.AddEdge(gibson, "create", blaster)
 
-	vs := Validate(g, ged.Set{phi1}, 0)
+	vs := validate(g, ged.Set{phi1}, 0)
 	if len(vs) != 1 {
 		t.Fatalf("got %d violations, want 1", len(vs))
 	}
@@ -280,7 +281,7 @@ func TestValidationInheritance(t *testing.T) {
 	moa := g.AddNodeAttrs("species", map[graph.Attr]graph.Value{"can_fly": graph.String("no")})
 	g.AddEdge(moa, "is_a", bird)
 
-	vs := Validate(g, ged.Set{phi3}, 0)
+	vs := validate(g, ged.Set{phi3}, 0)
 	if len(vs) != 1 {
 		t.Fatalf("got %d violations, want 1 (moa is a flightless bird)", len(vs))
 	}
@@ -289,7 +290,7 @@ func TestValidationInheritance(t *testing.T) {
 	kiwi := g.AddNode("species")
 	g.AddEdge(kiwi, "is_a", bird)
 	g.SetAttr(moa, "can_fly", graph.String("yes"))
-	vs = Validate(g, ged.Set{phi3}, 0)
+	vs = validate(g, ged.Set{phi3}, 0)
 	if len(vs) != 1 || vs[0].Match["y"] != kiwi {
 		t.Errorf("missing attribute must violate the consequent: %v", vs)
 	}
@@ -310,7 +311,7 @@ func TestValidationForbidding(t *testing.T) {
 	g.AddEdge(philip, "child", william)
 	g.AddEdge(philip, "parent", william)
 
-	vs := Validate(g, ged.Set{phi4}, 0)
+	vs := validate(g, ged.Set{phi4}, 0)
 	if len(vs) != 1 {
 		t.Fatalf("got %d violations, want 1", len(vs))
 	}
@@ -360,7 +361,7 @@ func TestValidationSpamRule(t *testing.T) {
 			g.AddEdge(a, "like", b)
 		}
 	}
-	vs := Validate(g, ged.Set{phi5}, 0)
+	vs := validate(g, ged.Set{phi5}, 0)
 	found := false
 	for _, v := range vs {
 		if v.Match["x"] == acc1 {
@@ -388,7 +389,7 @@ func TestValidationGKeyDuplicates(t *testing.T) {
 		"title": graph.String("Bleach"), "release": graph.Int(1989)})
 	a2 := g.AddNodeAttrs("album", map[graph.Attr]graph.Value{
 		"title": graph.String("Bleach"), "release": graph.Int(1989)})
-	vs := Validate(g, ged.Set{psi2}, 0)
+	vs := validate(g, ged.Set{psi2}, 0)
 	if len(vs) == 0 {
 		t.Fatal("duplicate albums must violate the key")
 	}
@@ -413,10 +414,10 @@ func TestValidateLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		g.AddNode("p")
 	}
-	if n := len(Validate(g, ged.Set{phi}, 3)); n != 3 {
+	if n := len(validate(g, ged.Set{phi}, 3)); n != 3 {
 		t.Errorf("limit 3: got %d", n)
 	}
-	if n := len(Validate(g, ged.Set{phi}, 0)); n != 10 {
+	if n := len(validate(g, ged.Set{phi}, 0)); n != 10 {
 		t.Errorf("no limit: got %d", n)
 	}
 }
@@ -503,6 +504,23 @@ func TestImplicationSoundOnRandomGraphs(t *testing.T) {
 		}
 	}
 	t.Logf("implied=%d graph-checks=%d", implied, checked)
+}
+
+// validate, validateParallel and validateTouching run the Validator's
+// three operations over a fresh freeze of g.
+func validate(g *graph.Graph, sigma ged.Set, limit int) []Violation {
+	vs, _ := NewValidator(g, sigma).RunCtx(context.Background(), limit)
+	return vs
+}
+
+func validateParallel(g *graph.Graph, sigma ged.Set, limit, workers int) []Violation {
+	vs, _ := NewValidator(g, sigma).RunParallelCtx(context.Background(), limit, workers)
+	return vs
+}
+
+func validateTouching(g *graph.Graph, sigma ged.Set, nodes []graph.NodeID) []Violation {
+	vs, _ := NewValidator(g, sigma).TouchingCtx(context.Background(), nodes, 0)
+	return vs
 }
 
 func randomGraph(rng *rand.Rand) *graph.Graph {

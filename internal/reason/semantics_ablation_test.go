@@ -9,20 +9,21 @@ import (
 	"gedlib/internal/pattern"
 )
 
-// validateInjective is Validate under subgraph-isomorphism semantics —
-// the ablation baseline of [19, 23] the paper argues against.
+// validateInjective is validation under subgraph-isomorphism semantics
+// — the ablation baseline of [19, 23] the paper argues against.
 func validateInjective(g *graph.Graph, sigma ged.Set, limit int) []Violation {
 	var out []Violation
+	snap := g.Freeze()
 	for _, d := range sigma {
 		d := d
-		pattern.ForEachMatchInjective(d.Pattern, g, func(m pattern.Match) bool {
+		pattern.ForEachMatchInjective(d.Pattern, snap, func(m pattern.Match) bool {
 			for _, l := range d.X {
-				if !HoldsInGraph(g, l, m) {
+				if !HoldsInGraph(snap, l, m) {
 					return true
 				}
 			}
 			for _, l := range d.Y {
-				if !HoldsInGraph(g, l, m) {
+				if !HoldsInGraph(snap, l, m) {
 					out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
 					break
 				}
@@ -50,7 +51,7 @@ func TestIsomorphismMakesRecursiveKeysVacuous(t *testing.T) {
 
 	psi3 := gen.PaperPsi3()
 
-	hom := Validate(g, ged.Set{psi3}, 0)
+	hom := validate(g, ged.Set{psi3}, 0)
 	if len(hom) == 0 {
 		t.Fatal("homomorphism semantics must catch the duplicate artist")
 	}
@@ -79,7 +80,7 @@ func TestIsomorphismUoEKeyHasNoSensibleMatches(t *testing.T) {
 		t.Fatal("single-node graph must be a model under homomorphism")
 	}
 	// Isomorphism: no injective match exists on one node.
-	if n := pattern.CountMatchesInjective(q, single); n != 0 {
+	if n := pattern.CountMatchesInjective(q, single.Freeze()); n != 0 {
 		t.Fatalf("injective matches on a single node: %d", n)
 	}
 	// And with two nodes, every injective match violates the key.
@@ -111,8 +112,9 @@ func TestInjectiveCountsSubsetOfHomomorphism(t *testing.T) {
 	q.AddVar("a", "c").AddVar("b", "c").AddVar("d", "c")
 	q.AddEdge("a", "e", "b")
 	q.AddEdge("b", "e", "d")
-	hom := pattern.CountMatches(q, g)
-	inj := pattern.CountMatchesInjective(q, g)
+	snap := g.Freeze()
+	hom := pattern.CountMatches(q, snap)
+	inj := pattern.CountMatchesInjective(q, snap)
 	if hom != 12 || inj != 6 {
 		t.Fatalf("path counts: hom=%d inj=%d, want 12/6", hom, inj)
 	}

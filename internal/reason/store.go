@@ -7,7 +7,6 @@ import (
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/obs"
-	"gedlib/internal/pattern"
 )
 
 // ViolationStore is a maintained violation set: the answer to "which
@@ -31,7 +30,7 @@ import (
 //	}
 //
 // Apply exploits the two monotonicity facts of add-only graphs that
-// ValidateTouching documents: every *new* violation's match touches an
+// Validator.TouchingCtx documents: every *new* violation's match touches an
 // updated node (matches are monotone, and attribute writes land on a
 // match's own bindings), and an *existing* violation can only change
 // status if its match touches an updated node. Touched entries are
@@ -155,7 +154,7 @@ func NewViolationStoreCtx(ctx context.Context, val *Validator) (*ViolationStore,
 // validation data-parallel across workers (1 = sequential, <= 0 =
 // GOMAXPROCS); the resulting store is identical — seeding is the one
 // O(|G|) step of the store's life, so it deserves the same parallelism
-// a full Validate gets.
+// full validation gets.
 func NewViolationStoreParallelCtx(ctx context.Context, val *Validator, workers int) (*ViolationStore, error) {
 	sigma := val.sigma
 	vs, err := val.RunParallelCtx(ctx, 0, workers)
@@ -375,5 +374,3 @@ func mergeStored(a, b []*storedViolation) []*storedViolation {
 	}
 	return out
 }
-
-var _ pattern.Host = (*graph.Snapshot)(nil)

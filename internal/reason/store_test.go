@@ -30,7 +30,8 @@ func mutateReason(g *graph.Graph, rng *rand.Rand, nOps int) {
 
 // TestViolationStoreEqualsFullValidate: a ViolationStore maintained
 // through a random delta stream reports exactly the violations a full
-// from-scratch validation reports, after every single delta.
+// from-scratch validation and the brute-force reference report, after
+// every single delta.
 func TestViolationStoreEqualsFullValidate(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(311))
@@ -48,8 +49,12 @@ func TestViolationStoreEqualsFullValidate(t *testing.T) {
 			if err := st.Apply(ctx, st.Snapshot().Apply(d), d.TouchedNodes()); err != nil {
 				t.Fatal(err)
 			}
-			want := canonViolations(Validate(g, sigma, 0), sigma)
+			want := canonViolations(validate(g, sigma, 0), sigma)
 			got := canonViolations(st.Violations(), sigma)
+			if ref := canonViolations(bruteForceViolations(g, sigma), sigma); !equalStrings(ref, want) {
+				t.Fatalf("trial %d step %d: full validate finds %d violations, reference %d",
+					trial, step, len(want), len(ref))
+			}
 			if len(want) != len(got) {
 				t.Fatalf("trial %d step %d: store has %d violations, full validate %d",
 					trial, step, len(got), len(want))
@@ -100,7 +105,7 @@ func TestViolationStoreRefreshesLiteral(t *testing.T) {
 	if got[0].Literal != d.Y[0] {
 		t.Fatalf("stale literal: store reports %s, but %s is what fails now", got[0].Literal, d.Y[0])
 	}
-	want := Validate(g, sigma, 0)
+	want := validate(g, sigma, 0)
 	if len(want) != 1 || want[0].Literal != got[0].Literal {
 		t.Fatalf("store disagrees with fresh validation: %+v vs %+v", got, want)
 	}
@@ -145,7 +150,7 @@ func TestViolationStoreOnWorkload(t *testing.T) {
 		if err := st.Apply(ctx, st.Snapshot().Apply(d), d.TouchedNodes()); err != nil {
 			t.Fatal(err)
 		}
-		want := canonViolations(Validate(g, sigma, 0), sigma)
+		want := canonViolations(validate(g, sigma, 0), sigma)
 		got := canonViolations(st.Violations(), sigma)
 		if len(want) != len(got) {
 			t.Fatalf("step %d: store %d vs full %d", step, len(got), len(want))

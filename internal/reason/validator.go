@@ -2,7 +2,6 @@ package reason
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
 	"gedlib/internal/ged"
@@ -28,8 +27,8 @@ type Validator struct {
 	sigma ged.Set
 	plans []*pattern.Plan
 	// pivots[i] is the pushed-down access path for Σ[i], if any; built
-	// on first full Run so that incremental-only validators never pay
-	// for the value postings.
+	// on the first RunParallelCtx so that other validators never pay for
+	// the value postings.
 	pivotOnce sync.Once
 	pivots    []*pivotPlan
 }
@@ -65,8 +64,7 @@ func NewValidatorOn(snap *graph.Snapshot, sigma ged.Set) *Validator {
 
 // PushdownFilters extracts the pushable antecedent literals of d: the
 // constant literals x.A = c, which the matcher turns into posting-list
-// intersections on snapshot hosts and bind-time attribute checks on
-// mutable ones. Variable and id literals relate two bindings and stay
+// intersections. Variable and id literals relate two bindings and stay
 // post-match checks; so does every consequent literal (a violation is
 // a match that *fails* one).
 func PushdownFilters(d *ged.GED) []pattern.ConstFilter {
@@ -148,43 +146,14 @@ func choosePivot(d *ged.GED, snap *graph.Snapshot) *pivotPlan {
 	return best
 }
 
-// Run finds violations, up to limit (≤ 0 means all). Results match
-// Validate's exactly.
-func (v *Validator) Run(limit int) []Violation {
-	v.ensurePivots()
-	var out []Violation
-	for i, d := range v.sigma {
-		d := d
-		collect := func(m pattern.Match) bool {
-			for _, l := range d.X {
-				if !HoldsInGraph(v.snap, l, m) {
-					return true
-				}
-			}
-			for _, l := range d.Y {
-				if !HoldsInGraph(v.snap, l, m) {
-					out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
-					break
-				}
-			}
-			return limit <= 0 || len(out) < limit
-		}
-		if p := v.pivots[i]; p != nil {
-			v.plans[i].ForEachPivot(p.variable, p.cands, collect)
-		} else {
-			v.plans[i].ForEachBound(nil, collect)
-		}
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out
-}
-
-// RunCtx is sequential full validation through the prepared plans, with
-// cooperative cancellation. It mirrors ValidateOnCtx exactly — same
-// enumeration, same result order — but skips the per-call plan
-// compilation, which is what the Engine's plan cache buys.
+// RunCtx finds the violations of Σ in the validator's snapshot, up to
+// limit (≤ 0 means all); the snapshot satisfies Σ iff the result is
+// empty (Section 5.3). It enumerates sequentially through the prepared
+// plans, in enumeration order. ctx is checked between candidate matches
+// and, via the matcher's abort hook, inside the backtracking search
+// itself — so a cancelled context aborts even a match-free exponential
+// exploration. The violations found so far are returned alongside
+// ctx's error.
 func (v *Validator) RunCtx(ctx context.Context, limit int) ([]Violation, error) {
 	var out []Violation
 	stop := func() bool { return ctx.Err() != nil }
@@ -217,35 +186,8 @@ func (v *Validator) RunCtx(ctx context.Context, limit int) ([]Violation, error) 
 	return out, nil
 }
 
-// RunParallelCtx is data-parallel full validation through the prepared
-// plans; semantics and determinism match ValidateParallelOnCtx.
-func (v *Validator) RunParallelCtx(ctx context.Context, limit, workers int) ([]Violation, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return v.RunCtx(ctx, limit)
-	}
-	v.ensurePivots()
-	return validateParallel(ctx, v.snap, v.sigma, limit, workers,
-		func(i int) *pattern.Plan { return v.plans[i] },
-		func(i int) (pattern.Var, []graph.NodeID) {
-			if p := v.pivots[i]; p != nil {
-				return p.variable, p.cands
-			}
-			return pivotVar(v.sigma[i].Pattern, v.snap)
-		})
-}
-
-// TouchingCtx finds the violations whose match involves at least one of
-// the given nodes — ValidateTouchingOnCtx through the prepared plans.
-func (v *Validator) TouchingCtx(ctx context.Context, nodes []graph.NodeID, limit int) ([]Violation, error) {
-	if len(nodes) == 0 {
-		return nil, ctx.Err()
-	}
-	return validateTouching(ctx, v.snap, v.sigma, nodes, limit,
-		func(i int) *pattern.Plan { return v.plans[i] })
-}
-
 // Satisfies reports G ⊨ Σ through the prepared context.
-func (v *Validator) Satisfies() bool { return len(v.Run(1)) == 0 }
+func (v *Validator) Satisfies() bool {
+	vs, _ := v.RunCtx(context.Background(), 1)
+	return len(vs) == 0
+}

@@ -1,6 +1,7 @@
 package reason
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -10,15 +11,15 @@ import (
 	"gedlib/internal/pattern"
 )
 
-// TestValidatorMatchesValidate: the indexed validator and the plain one
-// agree on random instances.
+// TestValidatorMatchesValidate: the index-pivoted parallel run and the
+// plain sequential one agree on random instances.
 func TestValidatorMatchesValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	for trial := 0; trial < 40; trial++ {
 		sigma := randomSigma(rng)
 		g := randomGraph(rng)
-		want := canonViolations(Validate(g, sigma, 0), sigma)
-		got := canonViolations(NewValidator(g, sigma).Run(0), sigma)
+		want := canonViolations(validate(g, sigma, 0), sigma)
+		got := canonViolations(validateParallel(g, sigma, 0, 2), sigma)
 		if len(want) != len(got) {
 			t.Fatalf("trial %d: %d vs %d violations", trial, len(got), len(want))
 		}
@@ -36,7 +37,7 @@ func TestValidatorUsesIndexPivot(t *testing.T) {
 	g, _ := gen.KnowledgeBase(17, 100, 0.1)
 	sigma := ged.Set{gen.PaperPhi1()}
 	v := NewValidator(g, sigma)
-	v.ensurePivots() // built lazily on first Run
+	v.ensurePivots() // built lazily on the first RunParallelCtx
 	if v.pivots[0] == nil {
 		t.Skip("index pivot not selected; label index already tighter")
 	}
@@ -44,7 +45,7 @@ func TestValidatorUsesIndexPivot(t *testing.T) {
 		t.Errorf("pivot variable = %s, want y", v.pivots[0].variable)
 	}
 	// Correctness regardless.
-	if len(v.Run(0)) != len(Validate(g, sigma, 0)) {
+	if par, _ := v.RunParallelCtx(context.Background(), 0, 2); len(par) != len(validate(g, sigma, 0)) {
 		t.Error("indexed validation disagrees")
 	}
 }
@@ -53,8 +54,8 @@ func TestValidatorRepeatedRuns(t *testing.T) {
 	g, _ := gen.KnowledgeBase(19, 40, 0.2)
 	sigma := ged.Set{gen.PaperPhi1(), gen.PaperPhi2()}
 	v := NewValidator(g, sigma)
-	a := v.Run(0)
-	b := v.Run(0)
+	a, _ := v.RunCtx(context.Background(), 0)
+	b, _ := v.RunCtx(context.Background(), 0)
 	if len(a) != len(b) {
 		t.Error("repeated runs must agree")
 	}
@@ -74,8 +75,8 @@ func TestValidatorLimit(t *testing.T) {
 		g.AddNodeAttrs("p", map[graph.Attr]graph.Value{"k": graph.Int(1)})
 	}
 	v := NewValidator(g, ged.Set{phi})
-	if n := len(v.Run(7)); n != 7 {
-		t.Errorf("limit 7: got %d", n)
+	if vs, _ := v.RunCtx(context.Background(), 7); len(vs) != 7 {
+		t.Errorf("limit 7: got %d", len(vs))
 	}
 }
 

@@ -158,9 +158,10 @@ func editScript(orig *graph.Graph, res *chase.Result, sigma ged.Set) []Edit {
 // whose consequents fail on g.
 func Check(g *graph.Graph, sigma ged.Set) []string {
 	var out []string
+	snap := g.Freeze()
 	for _, d := range sigma {
 		d := d
-		pattern.ForEachMatch(d.Pattern, g, func(m pattern.Match) bool {
+		pattern.ForEachMatch(d.Pattern, snap, func(m pattern.Match) bool {
 			for _, l := range d.X {
 				if !holdsInGraph(g, l, m) {
 					return true

@@ -102,10 +102,11 @@ type Violation struct {
 // head, up to limit (≤ 0 means all).
 func Validate(g *graph.Graph, sigma Set, limit int) []Violation {
 	var out []Violation
+	snap := g.Freeze()
 	for _, t := range sigma {
 		t := t
-		head := pattern.Compile(t.Right, g)
-		pattern.ForEachMatch(t.Left, g, func(m pattern.Match) bool {
+		head := pattern.Compile(t.Right, snap)
+		pattern.ForEachMatch(t.Left, snap, func(m pattern.Match) bool {
 			if !extends(head, m) {
 				out = append(out, Violation{TGD: t, Match: m.Clone()})
 			}
@@ -239,10 +240,13 @@ func Chase(g *graph.Graph, sigma Set, maxRounds int) (*Result, error) {
 			m pattern.Match
 		}
 		var pending []firing
+		snap := g.Freeze()
+		heads := make(map[*TGD]*pattern.Plan, len(sigma))
 		for _, t := range sigma {
 			t := t
-			head := pattern.Compile(t.Right, g)
-			pattern.ForEachMatch(t.Left, g, func(m pattern.Match) bool {
+			head := pattern.Compile(t.Right, snap)
+			heads[t] = head
+			pattern.ForEachMatch(t.Left, snap, func(m pattern.Match) bool {
 				if !extends(head, m) {
 					pending = append(pending, firing{t: t, m: m.Clone()})
 				}
@@ -254,8 +258,12 @@ func Chase(g *graph.Graph, sigma Set, maxRounds int) (*Result, error) {
 			return res, nil
 		}
 		for _, f := range pending {
-			// Re-check: an earlier firing this round may have satisfied it.
-			if extends(pattern.Compile(f.t.Right, g), f.m) {
+			// Re-check: an earlier firing this round may have satisfied
+			// it. The snapshot follows g by delta, so each re-check costs
+			// the firings since the last one, not a re-freeze of g.
+			snap = snap.Apply(g.DeltaSince(snap.SourceVersion()))
+			heads[f.t] = heads[f.t].Rebind(snap)
+			if extends(heads[f.t], f.m) {
 				continue
 			}
 			assign := f.m.Clone()

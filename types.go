@@ -131,15 +131,19 @@ type Match = pattern.Match
 // build it.
 func NewPattern() *Pattern { return pattern.New() }
 
-// CountMatches counts the matches of p in g.
-func CountMatches(p *Pattern, g *Graph) int { return pattern.CountMatches(p, g) }
+// CountMatches counts the matches of p in g. Like FindMatches and
+// HasMatch, each call freezes g (an O(|G|) copy) and matches over the
+// snapshot.
+func CountMatches(p *Pattern, g *Graph) int { return pattern.CountMatches(p, g.Freeze()) }
 
 // FindMatches collects up to limit matches of p in g (limit <= 0 means
 // all).
-func FindMatches(p *Pattern, g *Graph, limit int) []Match { return pattern.FindMatches(p, g, limit) }
+func FindMatches(p *Pattern, g *Graph, limit int) []Match {
+	return pattern.FindMatches(p, g.Freeze(), limit)
+}
 
 // HasMatch reports whether p has at least one match in g.
-func HasMatch(p *Pattern, g *Graph) bool { return pattern.HasMatch(p, g) }
+func HasMatch(p *Pattern, g *Graph) bool { return pattern.HasMatch(p, g.Freeze()) }
 
 // ---- rules (GEDs) and literals ----
 
