@@ -444,7 +444,10 @@ func (e *Engine) validateSharded(ctx context.Context, g *Graph, sigma RuleSet) (
 	if err != nil {
 		return nil, err
 	}
-	return e.limited(vs), nil
+	if e.violationLimit > 0 && len(vs) > e.violationLimit {
+		vs = vs[:e.violationLimit]
+	}
+	return vs, nil
 }
 
 // ValidateIncremental finds the violations of Σ whose match involves at
@@ -470,7 +473,9 @@ func (e *Engine) ValidateIncremental(ctx context.Context, g *Graph, sigma RuleSe
 // Apply incorporates the graph's mutations since the previous Apply (or
 // any other graph-bound call) into the engine's maintained validation
 // state, and returns the complete current violation set of Σ in
-// canonical order, truncated to WithViolationLimit.
+// canonical order, truncated to WithViolationLimit. The slice is the
+// caller's, as Validate's is: it is copied once out of the maintained
+// store, so a later Apply never writes to it.
 //
 // The first Apply for a (graph, rules) pair seeds a maintained
 // violation store with one full validation. Every later Apply costs
@@ -509,7 +514,7 @@ func (e *Engine) Apply(ctx context.Context, g *Graph, sigma RuleSet) ([]Violatio
 				return nil, err
 			}
 		}
-		return e.limited(st.Violations()), nil
+		return st.AppendViolations(nil, e.violationLimit), nil
 	}
 	if st := ent.store; st != nil && SameRules(ent.storeSigma, sigma) {
 		d := g.DeltaSince(st.Snapshot().SourceVersion())
@@ -526,7 +531,7 @@ func (e *Engine) Apply(ctx context.Context, g *Graph, sigma RuleSet) ([]Violatio
 				cur.snapVer, cur.snapshot = snap.SourceVersion(), snap
 			}
 			e.mu.Unlock()
-			return e.limited(st.Violations()), nil
+			return st.AppendViolations(nil, e.violationLimit), nil
 		}
 		// The backlog rivals the graph; fall through and re-seed from a
 		// fresh freeze.
@@ -538,19 +543,7 @@ func (e *Engine) Apply(ctx context.Context, g *Graph, sigma RuleSet) ([]Violatio
 	}
 	st.Observe(e.em.storeRecheck, e.em.storeDrop, e.em.storeFresh)
 	ent.store, ent.storeSigma = st, sigma
-	return e.limited(st.Violations()), nil
-}
-
-// limited applies the engine's violation limit and copies the result:
-// ViolationStore.Violations returns (possibly cached) store-owned
-// state, and Apply's callers get the same ownership Validate's do.
-func (e *Engine) limited(vs []Violation) []Violation {
-	if e.violationLimit > 0 && len(vs) > e.violationLimit {
-		vs = vs[:e.violationLimit]
-	}
-	out := make([]Violation, len(vs))
-	copy(out, vs)
-	return out
+	return st.AppendViolations(nil, e.violationLimit), nil
 }
 
 // ShardStats describes the shard topology the engine maintains for one

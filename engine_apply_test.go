@@ -137,3 +137,117 @@ func TestEngineApplyAfterValidate(t *testing.T) {
 		t.Fatalf("ValidateIncremental: want 1, got %d", len(vs))
 	}
 }
+
+// ordered renders violations in the order given, evidence included.
+func ordered(vs []gedlib.Violation) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		if v.GED == nil {
+			out[i] = "<zero violation>"
+			continue
+		}
+		s := v.GED.Name
+		for _, x := range v.GED.Pattern.Vars() {
+			s += fmt.Sprintf(":%s=%d", x, v.Match[x])
+		}
+		out[i] = s + " fails " + v.Literal.String()
+	}
+	return out
+}
+
+// sameOrdered fails the test unless got and want render identically.
+func sameOrdered(t *testing.T, what string, got, want []gedlib.Violation) {
+	t.Helper()
+	a, b := ordered(got), ordered(want)
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d violations, want %d", what, len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s: violation %d is %s, want %s", what, i, a[i], b[i])
+		}
+	}
+}
+
+// TestEngineApplyResultOwnership: the slice Apply returns is the
+// caller's. Overwriting every element of one result must leave the
+// engine's later answers — after an empty delta and after a real one —
+// equal to a fresh Validate.
+func TestEngineApplyResultOwnership(t *testing.T) {
+	ctx := context.Background()
+	g, _ := workload.KnowledgeBase(33, 40, 0.4)
+	sigma := gedlib.RuleSet{
+		workload.PaperPhi1(), workload.PaperPhi2(),
+		workload.PaperPhi3(), workload.PaperPhi4(),
+	}
+	eng := gedlib.New()
+	first, err := eng.Apply(ctx, g, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) == 0 {
+		t.Fatal("workload has no violations to overwrite")
+	}
+	validate := func() []gedlib.Violation {
+		// The parallel validator reports in canonical order, as Apply does.
+		vs, err := gedlib.New(gedlib.WithWorkers(2)).Validate(ctx, g, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vs
+	}
+	for i := range first {
+		first[i] = gedlib.Violation{}
+	}
+	got, err := eng.Apply(ctx, g, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameOrdered(t, "after an empty delta", got, validate())
+	for i := range got {
+		got[i] = gedlib.Violation{}
+	}
+	persons := g.NodesWithLabel("person")
+	for i, p := range persons[:len(persons)/2] {
+		g.SetAttr(p, "type", gedlib.String([]string{"programmer", "psychologist"}[i%2]))
+	}
+	got, err = eng.Apply(ctx, g, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameOrdered(t, "after a real delta", got, validate())
+}
+
+// TestEngineApplyLimitIsCanonicalPrefix: with WithViolationLimit(n),
+// Apply reports the canonically-least n violations — the first n of
+// an unlimited parallel Validate, which reports in canonical order — on
+// seeding and after a delta, monolithic and sharded.
+func TestEngineApplyLimitIsCanonicalPrefix(t *testing.T) {
+	ctx := context.Background()
+	sigma := gedlib.RuleSet{
+		workload.PaperPhi1(), workload.PaperPhi2(),
+		workload.PaperPhi3(), workload.PaperPhi4(),
+	}
+	const n = 3
+	for _, shards := range []int{1, 2} {
+		g, _ := workload.KnowledgeBase(33, 40, 0.4)
+		eng := gedlib.New(gedlib.WithViolationLimit(n), gedlib.WithShards(shards))
+		for step := 0; step < 2; step++ {
+			got, err := eng.Apply(ctx, g, sigma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := gedlib.New(gedlib.WithWorkers(2)).Validate(ctx, g, sigma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(all) <= n {
+				t.Fatalf("step %d: need more than %d violations, have %d", step, n, len(all))
+			}
+			sameOrdered(t, fmt.Sprintf("%d shards, step %d", shards, step), got, all[:n])
+			for _, p := range g.NodesWithLabel("person")[:5] {
+				g.SetAttr(p, "type", gedlib.String("psychologist"))
+			}
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -343,9 +345,9 @@ func (g *Graph) Freeze() *Snapshot {
 
 // buildAdjacency lays out both directions: per-node (label symbol,
 // endpoint) segments sorted by (label, endpoint) so per-label neighbor
-// runs are contiguous. Edges are flattened once and permuted by one
-// global sort per direction; the segments are views into the flat
-// arenas.
+// runs are contiguous. Edges are flattened once, bucketed by node with
+// one counting sort per direction, and each node's bucket is sorted on
+// its own; the segments are views into the flat arenas.
 func (s *Snapshot) buildAdjacency(g *Graph, n int) {
 	m := len(g.edges)
 	esrc := make([]NodeID, 0, m)
@@ -358,50 +360,48 @@ func (s *Snapshot) buildAdjacency(g *Graph, n int) {
 			edst = append(edst, e.Dst)
 		}
 	}
-	perm := make([]int32, m)
-	for i := range perm {
-		perm[i] = int32(i)
+	type half struct {
+		lbl int32
+		id  NodeID
 	}
+	buf := make([]half, m)
+	next := make([]int32, n)
 
-	layout := func(major, minor []NodeID, dir func(a, b int32) bool) [][]adjSeg {
-		sort.Slice(perm, func(x, y int) bool { return dir(perm[x], perm[y]) })
+	layout := func(major, minor []NodeID) [][]adjSeg {
 		off := make([]int32, n+1)
-		lblArena := make([]int32, m)
-		idArena := make([]NodeID, m)
-		for i, p := range perm {
-			off[major[p]+1]++
-			lblArena[i] = elbl[p]
-			idArena[i] = minor[p]
+		for _, v := range major {
+			off[v+1]++
 		}
 		for i := 0; i < n; i++ {
 			off[i+1] += off[i]
 		}
+		copy(next, off[:n])
+		for e, v := range major {
+			buf[next[v]] = half{elbl[e], minor[e]}
+			next[v]++
+		}
+		lblArena := make([]int32, m)
+		idArena := make([]NodeID, m)
 		segs := make([]adjSeg, n)
 		for i := 0; i < n; i++ {
 			lo, hi := off[i], off[i+1]
+			run := buf[lo:hi]
+			slices.SortFunc(run, func(a, b half) int {
+				if c := cmp.Compare(a.lbl, b.lbl); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.id, b.id)
+			})
+			for k, h := range run {
+				lblArena[int(lo)+k], idArena[int(lo)+k] = h.lbl, h.id
+			}
 			segs[i] = adjSeg{lbl: lblArena[lo:hi:hi], ids: idArena[lo:hi:hi]}
 		}
 		return pagesOf(segs)
 	}
 
-	s.out = layout(esrc, edst, func(a, b int32) bool {
-		if esrc[a] != esrc[b] {
-			return esrc[a] < esrc[b]
-		}
-		if elbl[a] != elbl[b] {
-			return elbl[a] < elbl[b]
-		}
-		return edst[a] < edst[b]
-	})
-	s.in = layout(edst, esrc, func(a, b int32) bool {
-		if edst[a] != edst[b] {
-			return edst[a] < edst[b]
-		}
-		if elbl[a] != elbl[b] {
-			return elbl[a] < elbl[b]
-		}
-		return esrc[a] < esrc[b]
-	})
+	s.out = layout(esrc, edst)
+	s.in = layout(edst, esrc)
 }
 
 // ---- paged accessors ----

@@ -253,3 +253,36 @@ func TestSnapshotRandomEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestFreezeSegmentsSorted: every node's adjacency segment, in both
+// directions, is strictly ordered by (label symbol, endpoint) — the
+// invariant per-label runs and the matcher's sorted intersections rely
+// on — and holds exactly the node's edges.
+func TestFreezeSegmentsSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := New()
+	const n = 300
+	for i := 0; i < n; i++ {
+		g.AddNode("v")
+	}
+	labels := []Label{"b", "a", "c", Wildcard}
+	for i := 0; i < 10*n; i++ {
+		g.AddEdge(NodeID(rng.Intn(n)), labels[rng.Intn(len(labels))], NodeID(rng.Intn(n)))
+	}
+	s := g.Freeze()
+	for id := NodeID(0); id < n; id++ {
+		out, in := s.outSeg(id), s.inSeg(id)
+		if len(out.ids) != len(g.Out(id)) || len(in.ids) != len(g.In(id)) {
+			t.Fatalf("n%d: segments hold %d out / %d in edges, graph has %d / %d",
+				id, len(out.ids), len(in.ids), len(g.Out(id)), len(g.In(id)))
+		}
+		for _, seg := range []*adjSeg{out, in} {
+			for k := 1; k < len(seg.ids); k++ {
+				if seg.lbl[k] < seg.lbl[k-1] || (seg.lbl[k] == seg.lbl[k-1] && seg.ids[k] <= seg.ids[k-1]) {
+					t.Fatalf("n%d: segment out of order at %d: (%d,%d) after (%d,%d)",
+						id, k, seg.lbl[k], seg.ids[k], seg.lbl[k-1], seg.ids[k-1])
+				}
+			}
+		}
+	}
+}

@@ -60,7 +60,8 @@ type matcher struct {
 	last     []graph.NodeID            // binding each out entry currently holds
 	out      Match                     // reused map handed to yield
 	order    []int                     // variable indexes still to bind, in order
-	orderBuf []int                     // pooled backing for filtered orders
+	orderBuf []int                     // pooled backing for re-rooted orders
+	placed   []bool                    // re-rooting scratch: variables already ordered
 	wild     [][]graph.NodeID          // per-variable wildcard-neighbor dedup buffers
 	isect    [][]graph.NodeID          // per-variable intersection output buffers
 	runs     [][][]graph.NodeID        // per-variable sorted-run collection buffers
@@ -122,6 +123,9 @@ type Plan struct {
 	varLid []int32       // variable index -> resolved label symbol
 	adj    [][]cedge     // variable index -> incident pattern edges
 	order  []int         // variable binding order, as indexes
+	// pivotOrder[i] is order re-rooted at variable i (see reroot): the
+	// binding order of the other variables once i is pre-bound.
+	pivotOrder [][]int
 
 	filters []ConstFilter // pushed-down constant literals, as given
 	varFilt [][]cfilter   // variable index -> compiled filters
@@ -214,7 +218,58 @@ func compile(p *Pattern, snap *graph.Snapshot, filters []ConstFilter, probe bool
 		}
 	}
 	pl.order = planOrder(pl)
+	pl.pivotOrder = make([][]int, n)
+	placed := make([]bool, n)
+	all := make([]int, 0, n*(n-1))
+	for i := range pl.pivotOrder {
+		clear(placed)
+		placed[i] = true
+		start := len(all)
+		all = pl.reroot(all, placed)
+		pl.pivotOrder[i] = all[start:len(all):len(all)]
+	}
 	return pl
+}
+
+// reroot appends to dst the variables placed does not mark, in pl.order
+// re-rooted at the placed set: each step takes the first unplaced
+// variable of pl.order with a pattern edge to a placed one, and the
+// first unplaced variable only when none has such an edge. A pivoted or
+// pre-bound search then extends along bound pattern edges, drawing
+// candidates from adjacency runs, instead of scanning a label posting
+// under every pre-binding. placed is updated in place.
+func (pl *Plan) reroot(dst []int, placed []bool) []int {
+	for {
+		next := -1
+		for _, x := range pl.order {
+			if placed[x] {
+				continue
+			}
+			if next < 0 {
+				next = x
+			}
+			if pl.linked(x, placed) {
+				next = x
+				break
+			}
+		}
+		if next < 0 {
+			return dst
+		}
+		placed[next] = true
+		dst = append(dst, next)
+	}
+}
+
+// linked reports whether variable x has a pattern edge to another,
+// placed variable.
+func (pl *Plan) linked(x int, placed []bool) bool {
+	for _, e := range pl.adj[x] {
+		if (e.src == x && e.dst != x && placed[e.dst]) || (e.dst == x && e.src != x && placed[e.src]) {
+			return true
+		}
+	}
+	return false
 }
 
 // resolveLabel returns l's interned symbol in snap, or the labelWild /
@@ -239,6 +294,22 @@ func (pl *Plan) OrderedVars() []Var {
 	out := make([]Var, len(pl.order))
 	for i, vi := range pl.order {
 		out[i] = pl.vars[vi]
+	}
+	return out
+}
+
+// PivotOrderedVars is OrderedVars for a search with pivot pre-bound, as
+// ForEachPivotCancel runs it: pivot first, then the plan's order
+// re-rooted at pivot (see reroot). It returns nil when the pattern has
+// no variable pivot. The returned slice is fresh.
+func (pl *Plan) PivotOrderedVars(pivot Var) []Var {
+	pi, ok := pl.varIdx[pivot]
+	if !ok {
+		return nil
+	}
+	out := append(make([]Var, 0, len(pl.vars)), pivot)
+	for _, vi := range pl.pivotOrder[pi] {
+		out = append(out, pl.vars[vi])
 	}
 	return out
 }
@@ -274,6 +345,8 @@ func (pl *Plan) Rebind(snap *graph.Snapshot) *Plan {
 		probe:   pl.probe,
 		pool:    pl.pool, // same pattern, same scratch shape: stay warm
 		prof:    pl.prof, // profile accumulates across the lineage
+
+		pivotOrder: pl.pivotOrder, // pattern-only, like order
 	}
 	// Pushed-down postings are per-snapshot: attr symbols carry over
 	// (append-only within a lineage, re-resolved if they appeared since
@@ -352,6 +425,7 @@ func (pl *Plan) newMatcher(stop func() bool, yield func(Match) bool) *matcher {
 			bind:    make([]graph.NodeID, len(pl.vars)),
 			last:    make([]graph.NodeID, len(pl.vars)),
 			covered: make([]bool, len(pl.vars)),
+			placed:  make([]bool, len(pl.vars)),
 			out:     make(Match, len(pl.vars)),
 		}
 	}
@@ -451,6 +525,9 @@ func (pl *Plan) ForEachBound(pre Match, yield func(Match) bool) {
 // search, so even an exponential exploration that never completes a
 // match can be cut short. Enumeration ends when stop returns true.
 //
+// A non-empty pre re-roots the binding order at the pre-bound variables
+// (see reroot), as ForEachPivotCancel does for its pivot.
+//
 // The empty pattern has exactly one (empty) match, delivered through
 // the same search path as every other pattern, so yield's "return false
 // to stop" verdict and pre-binding rejection apply uniformly.
@@ -470,14 +547,11 @@ func (pl *Plan) ForEachBoundCancel(pre Match, stop func() bool, yield func(Match
 	if len(pre) == 0 {
 		m.order = pl.order
 	} else {
-		order := m.orderBuf[:0]
-		for _, i := range pl.order {
-			if m.bind[i] == unbound {
-				order = append(order, i)
-			}
+		for i, n := range m.bind {
+			m.placed[i] = n != unbound
 		}
-		m.orderBuf = order
-		m.order = order
+		m.orderBuf = pl.reroot(m.orderBuf[:0], m.placed)
+		m.order = m.orderBuf
 	}
 	m.search(0)
 }
@@ -522,6 +596,13 @@ func (pl *Plan) ForEachPivot(pivot Var, cands []graph.NodeID, yield func(Match) 
 // sorted (it usually is: label postings and attribute-value postings
 // both arrive ascending); unsorted candidate lists fall back to the
 // per-candidate literal check in consistent.
+//
+// The other variables bind in the plan's order re-rooted at the pivot,
+// derived once at Compile (see reroot): every variable connected to the
+// pivot binds through a pattern edge to an already-bound one, so its
+// candidates come from adjacency runs rather than its label posting,
+// and a search around touched nodes costs what their neighbourhoods
+// hold, not what the graph holds.
 func (pl *Plan) ForEachPivotCancel(pivot Var, cands []graph.NodeID, stop func() bool, yield func(Match) bool) {
 	pi, ok := pl.varIdx[pivot]
 	if !ok {
@@ -530,14 +611,7 @@ func (pl *Plan) ForEachPivotCancel(pivot Var, cands []graph.NodeID, stop func() 
 	m := pl.newMatcher(stop, yield)
 	defer pl.putMatcher(m)
 	cands = m.pivotCands(pi, cands)
-	order := m.orderBuf[:0]
-	for _, i := range pl.order {
-		if i != pi {
-			order = append(order, i)
-		}
-	}
-	m.orderBuf = order
-	m.order = order
+	m.order = pl.pivotOrder[pi]
 	m.nCand += uint64(len(cands))
 	for _, c := range cands {
 		if !m.consistent(pi, c) {

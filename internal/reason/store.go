@@ -2,6 +2,7 @@ package reason
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"gedlib/internal/ged"
@@ -41,10 +42,12 @@ import (
 //
 // Entries carry their canonical sort key and dense binding vector,
 // computed once at admission: a delta re-sorts nothing — survivors stay
-// in order and the (few, already-sorted) newcomers merge in.
+// in order and the (few, already-sorted) newcomers merge in. Readers
+// copy the set out with AppendViolations, straight from the sorted
+// entries into a slice they own.
 //
 // The store is single-writer: Apply must not run concurrently with
-// itself or Violations. Engine.Apply provides the locking.
+// itself or AppendViolations. Engine.Apply provides the locking.
 type ViolationStore struct {
 	val    *Validator
 	sigma  ged.Set
@@ -53,16 +56,12 @@ type ViolationStore struct {
 	seen   seenSet
 	// byNode indexes live entries by every node their match binds.
 	// Lists are pruned of dropped entries as they are visited and the
-	// whole index is rebuilt when dross piles up.
+	// whole index is rebuilt once dross, the dropped references left in
+	// unvisited lists, outnumbers the live entries.
 	byNode map[graph.NodeID][]*storedViolation
 	dross  int
 	// stamp deduplicates multi-bind entries within one Apply.
 	stamp uint64
-	// view is the cached materialization of vs; deltas that change
-	// nothing (the common case for localized updates) hand the same
-	// slice back instead of rebuilding O(|V|) state per call. The
-	// backing array is never written after materialization.
-	view []Violation
 	// maintenance counters (Observe); nil-safe no-op sinks by default.
 	ctrRecheck, ctrDrop, ctrFresh *obs.Counter
 }
@@ -212,18 +211,21 @@ func (st *ViolationStore) Snapshot() *graph.Snapshot { return st.val.Snapshot() 
 // Sigma returns the rule set the store maintains violations of.
 func (st *ViolationStore) Sigma() ged.Set { return st.sigma }
 
-// Violations returns the maintained set in canonical order. The slice
-// (cached across no-change deltas, its backing array never rewritten)
-// and the Match maps are read-only for the caller.
-func (st *ViolationStore) Violations() []Violation {
-	if st.view == nil {
-		view := make([]Violation, len(st.vs))
-		for i, e := range st.vs {
-			view[i] = e.v
-		}
-		st.view = view
+// AppendViolations appends the maintained set, in canonical order, to
+// dst and returns the extended slice; limit > 0 appends only the
+// canonically-least limit violations. The appended elements belong to
+// the caller; the Match maps they hold are shared with the store and
+// read-only.
+func (st *ViolationStore) AppendViolations(dst []Violation, limit int) []Violation {
+	vs := st.vs
+	if limit > 0 && len(vs) > limit {
+		vs = vs[:limit]
 	}
-	return st.view
+	dst = slices.Grow(dst, len(vs))
+	for _, e := range vs {
+		dst = append(dst, e.v)
+	}
+	return dst
 }
 
 // Len returns the current violation count.
@@ -265,7 +267,6 @@ func (st *ViolationStore) Recheck(ctx context.Context, snap *graph.Snapshot, tou
 	// touches — an untouched match cannot have changed status. The
 	// index lists are compacted of dropped entries as a side effect.
 	st.stamp++
-	refreshed := false
 	droppedAny := false
 	for _, n := range touched {
 		list := st.byNode[n]
@@ -295,11 +296,13 @@ func (st *ViolationStore) Recheck(ctx context.Context, snap *graph.Snapshot, tou
 				st.dross += distinctBindCount(e.bind) - 1
 				live = live[:len(live)-1]
 				droppedAny = true
+				// Until the other references are pruned the entry is a
+				// husk: release the match, key and bindings it holds.
+				e.v, e.key, e.bind = Violation{}, "", nil
 			case l != e.v.Literal:
 				// The update fixed the recorded literal but broke
 				// another; keep the evidence current.
 				e.v.Literal = l
-				refreshed = true
 			}
 		}
 		if len(live) == 0 {
@@ -309,18 +312,9 @@ func (st *ViolationStore) Recheck(ctx context.Context, snap *graph.Snapshot, tou
 		}
 	}
 	if droppedAny {
-		kept := st.vs[:0]
-		for _, e := range st.vs {
-			if !e.dropped {
-				kept = append(kept, e)
-			}
-		}
-		st.vs = kept
+		st.vs = slices.DeleteFunc(st.vs, func(e *storedViolation) bool { return e.dropped })
 	}
-	if refreshed || droppedAny {
-		st.view = nil
-	}
-	if st.dross > 4*len(st.vs)+64 {
+	if st.dross > len(st.vs)+64 {
 		st.rebuildIndex()
 	}
 	return ctx.Err()
@@ -341,7 +335,6 @@ func (st *ViolationStore) AdmitFresh(vs []Violation) {
 	if len(add) > 0 {
 		st.ctrFresh.Add(uint64(len(add)))
 		st.vs = mergeStored(st.vs, add)
-		st.view = nil
 	}
 }
 

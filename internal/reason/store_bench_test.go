@@ -35,6 +35,6 @@ func BenchmarkStoreApplyKB2000(b *testing.B) {
 		if err := st.Apply(ctx, st.Snapshot().Apply(d), d.TouchedNodes()); err != nil {
 			b.Fatal(err)
 		}
-		_ = st.Violations()
+		_ = st.AppendViolations(nil, 0)
 	}
 }

@@ -50,7 +50,7 @@ func TestViolationStoreEqualsFullValidate(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := canonViolations(validate(g, sigma, 0), sigma)
-			got := canonViolations(st.Violations(), sigma)
+			got := canonViolations(st.AppendViolations(nil, 0), sigma)
 			if ref := canonViolations(bruteForceViolations(g, sigma), sigma); !equalStrings(ref, want) {
 				t.Fatalf("trial %d step %d: full validate finds %d violations, reference %d",
 					trial, step, len(want), len(ref))
@@ -87,7 +87,7 @@ func TestViolationStoreRefreshesLiteral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Violations(); len(got) != 1 || got[0].Literal != d.Y[1] {
+	if got := st.AppendViolations(nil, 0); len(got) != 1 || got[0].Literal != d.Y[1] {
 		t.Fatalf("seed: want one violation failing %s, got %+v", d.Y[1], got)
 	}
 	// Fix q (the recorded literal) and break p in one delta.
@@ -98,7 +98,7 @@ func TestViolationStoreRefreshesLiteral(t *testing.T) {
 	if err := st.Apply(ctx, st.Snapshot().Apply(dl), dl.TouchedNodes()); err != nil {
 		t.Fatal(err)
 	}
-	got := st.Violations()
+	got := st.AppendViolations(nil, 0)
 	if len(got) != 1 {
 		t.Fatalf("want one violation, got %d", len(got))
 	}
@@ -151,7 +151,7 @@ func TestViolationStoreOnWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := canonViolations(validate(g, sigma, 0), sigma)
-		got := canonViolations(st.Violations(), sigma)
+		got := canonViolations(st.AppendViolations(nil, 0), sigma)
 		if len(want) != len(got) {
 			t.Fatalf("step %d: store %d vs full %d", step, len(got), len(want))
 		}

@@ -108,10 +108,9 @@ type anchor struct {
 }
 
 // compileRules prepares sigma against the global snapshot. The base
-// extension order comes from the monolithic matcher's own compiled plan
-// so the sharded search visits variables in the same statistics-driven
-// order; pivoted orders are derived from it by a connected-first
-// rotation around each pivot.
+// and pivoted extension orders come from the monolithic matcher's own
+// compiled plan, so the sharded search visits variables in the same
+// statistics-driven order and re-roots it at each pivot the same way.
 func compileRules(sigma ged.Set, global *graph.Snapshot) []*compiledRule {
 	out := make([]*compiledRule, len(sigma))
 	for gi, d := range sigma {
@@ -136,26 +135,23 @@ func compileRules(sigma ged.Set, global *graph.Snapshot) []*compiledRule {
 			}
 		}
 		var edges []pattern.Edge
-		adj := make([][]int, len(vars)) // var -> pattern neighbors (both directions)
 		for _, e := range d.Pattern.Edges() {
 			edges = append(edges, e)
-			si, di := varIdx[e.Src], varIdx[e.Dst]
-			cr.pedges = append(cr.pedges, pedge{src: si, dst: di, label: e.Label})
-			if si != di {
-				adj[si] = append(adj[si], di)
-				adj[di] = append(adj[di], si)
-			}
+			cr.pedges = append(cr.pedges, pedge{src: varIdx[e.Src], dst: varIdx[e.Dst], label: e.Label})
 		}
 		cr.ante = compileLits(d.X, varIdx)
 		cr.cons = compileLits(d.Y, varIdx)
-		base := make([]int, 0, len(vars))
 		pl := pattern.CompileFiltered(d.Pattern, global, reason.PushdownFilters(d))
-		for _, x := range pl.OrderedVars() {
-			base = append(base, varIdx[x])
+		indexes := func(xs []pattern.Var) []int {
+			order := make([]int, len(xs))
+			for i, x := range xs {
+				order[i] = varIdx[x]
+			}
+			return order
 		}
-		cr.orders = append(cr.orders, base)
-		for k := range vars {
-			cr.orders = append(cr.orders, pivotOrder(base, k, adj))
+		cr.orders = append(cr.orders, indexes(pl.OrderedVars()))
+		for _, x := range vars {
+			cr.orders = append(cr.orders, indexes(pl.PivotOrderedVars(x)))
 		}
 		cr.steps = make([][]step, len(cr.orders))
 		for oi, order := range cr.orders {
@@ -164,48 +160,6 @@ func compileRules(sigma ged.Set, global *graph.Snapshot) []*compiledRule {
 		out[gi] = cr
 	}
 	return out
-}
-
-// pivotOrder rotates base around pivot k: k first, then repeatedly the
-// earliest base-order variable adjacent to the bound prefix (falling
-// back to the earliest remaining one when the pattern disconnects), so
-// every step after the pivot stays anchored whenever the pattern
-// allows.
-func pivotOrder(base []int, k int, adj [][]int) []int {
-	order := make([]int, 0, len(base))
-	order = append(order, k)
-	bound := make([]bool, len(adj))
-	bound[k] = true
-	remaining := len(base) - 1
-	for remaining > 0 {
-		pick := -1
-		for _, v := range base {
-			if bound[v] {
-				continue
-			}
-			for _, w := range adj[v] {
-				if bound[w] {
-					pick = v
-					break
-				}
-			}
-			if pick >= 0 {
-				break
-			}
-		}
-		if pick < 0 {
-			for _, v := range base {
-				if !bound[v] {
-					pick = v
-					break
-				}
-			}
-		}
-		order = append(order, pick)
-		bound[pick] = true
-		remaining--
-	}
-	return order
 }
 
 // buildSteps derives the per-step anchors and self-loops of one order.

@@ -124,7 +124,7 @@ func TestShardDifferentialApply(t *testing.T) {
 					t.Fatalf("apply: %v", err)
 				}
 				want := oracle(t, st.Global(), sigma)
-				got := renderViolations(st.Violations(), sigma)
+				got := renderViolations(st.AppendViolations(nil, 0), sigma)
 				if got != want {
 					t.Fatalf("trial %d %s step %d: maintained set diverged\n got:\n%s\nwant:\n%s",
 						trial, part.Name(), step, got, want)
@@ -160,7 +160,7 @@ func TestShardConcurrentStates(t *testing.T) {
 					t.Errorf("apply: %v", err)
 					return
 				}
-				st.Violations()
+				st.AppendViolations(nil, 0)
 			}
 		}(i)
 	}

@@ -30,7 +30,6 @@ type State struct {
 	// owns the violations whose first-variable binding shard i owns.
 	storeSigma ged.Set
 	stores     []*reason.ViolationStore
-	merged     []reason.Violation
 
 	// reg, when set via Observe, receives frame-traffic and
 	// finalization-reject counters from every search this state runs,
@@ -145,7 +144,6 @@ func (st *State) ApplyDelta(ctx context.Context, d *graph.Delta) error {
 			return err
 		}
 	}
-	st.merged = nil
 	return nil
 }
 
@@ -167,7 +165,7 @@ func (st *State) Validate(ctx context.Context, sigma ged.Set) ([]reason.Violatio
 // SeedStores (re)builds the per-shard maintained stores for sigma from
 // one full sharded validation.
 func (st *State) SeedStores(ctx context.Context, sigma ged.Set) error {
-	st.stores, st.merged = nil, nil
+	st.stores = nil
 	r := newRunner(st.sh, st.global, st.compiled(sigma))
 	r.reg = st.reg
 	r.seedFull()
@@ -188,21 +186,20 @@ func (st *State) SeedStores(ctx context.Context, sigma ged.Set) error {
 	return nil
 }
 
-// Violations returns the maintained violation set merged across shards
-// in canonical order. The merge is cached until the next ApplyDelta.
-func (st *State) Violations() []reason.Violation {
-	if st.stores == nil {
-		return nil
+// AppendViolations appends the maintained violation set, merged across
+// shards in canonical order, to dst; limit > 0 keeps only the
+// canonically-least limit violations. Each store contributes at most
+// its own least limit, which is all the global prefix can draw from it.
+func (st *State) AppendViolations(dst []reason.Violation, limit int) []reason.Violation {
+	start := len(dst)
+	for _, s := range st.stores {
+		dst = s.AppendViolations(dst, limit)
 	}
-	if st.merged == nil {
-		var out []reason.Violation
-		for _, s := range st.stores {
-			out = append(out, s.Violations()...)
-		}
-		reason.SortViolations(out, st.storeSigma)
-		st.merged = out
+	reason.SortViolations(dst[start:], st.storeSigma)
+	if limit > 0 && len(dst)-start > limit {
+		dst = dst[:start+limit]
 	}
-	return st.merged
+	return dst
 }
 
 func (st *State) compiled(sigma ged.Set) []*compiledRule {
