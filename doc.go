@@ -59,7 +59,9 @@
 // Apply, maintains the violation set of a rule set across deltas
 // (re-checking only violations the delta touches and searching only
 // the touched neighborhoods for new ones), and returns the complete
-// canonical violation set at O(|Δ|) cost per update. The stale-cache
+// canonical violation set at O(|Δ|) matcher cost per update, plus one
+// copy of three-word Violation values whose Match and Literal are
+// shared with the maintained set. The stale-cache
 // catch-up also serves Validate and ValidateIncremental after
 // mutations, so no graph-bound method re-freezes an already-seen
 // graph; the chase similarly maintains one live coercion snapshot
@@ -78,7 +80,10 @@
 // (attr, value) posting lists, join the candidate intersection, and
 // their postings stay valid across Snapshot.Apply, maintained lazily
 // per posting actually read. Variable literals, id literals and
-// consequent literals are not pushable and remain post-match checks.
+// consequent literals are not pushable and remain post-match checks,
+// evaluated on the matcher's dense binding vector through literals
+// lowered once per rule onto variable positions and interned attribute
+// ids: a Match map is built only for a violating match.
 // Plan costing counts literal postings toward a variable's candidate
 // estimate and orders the search toward intersection-tight variables.
 // The pre-intersection scan-and-probe path survives as the measured

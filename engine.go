@@ -475,12 +475,14 @@ func (e *Engine) ValidateIncremental(ctx context.Context, g *Graph, sigma RuleSe
 // state, and returns the complete current violation set of Σ in
 // canonical order, truncated to WithViolationLimit. The slice is the
 // caller's, as Validate's is: it is copied once out of the maintained
-// store, so a later Apply never writes to it.
+// store, so a later Apply never writes to it. The copy is 24 bytes per
+// violation; each element's Match map and Literal (a pointer into the
+// rule's consequent) are shared with the store and read-only.
 //
 // The first Apply for a (graph, rules) pair seeds a maintained
 // violation store with one full validation. Every later Apply costs
-// O(|Δ| + touched neighborhoods) matcher work plus a cheap filter scan
-// of the stored set: the cached snapshot advances by the graph's
+// O(|Δ| + touched neighborhoods) matcher work plus the result copy: the
+// cached snapshot advances by the graph's
 // change journal (Snapshot.Apply — no freeze), stored violations whose
 // match the delta touches are re-checked, and the touched
 // neighborhoods are searched for new ones. Apply serializes with

@@ -164,11 +164,8 @@ func ImageOf(g *Graph) *Image {
 	return img
 }
 
-// FromImage rebuilds a Graph from an Image. Every index is bounds
-// checked, so a corrupted image yields an error, never a panic. The
-// rebuilt graph starts with an empty journal based at img.Version: its
-// history begins where the image was cut, exactly like a graph whose
-// journal was trimmed.
+// validate bounds-checks every index of the image against the columns
+// and string tables it points into.
 func (img *Image) validate() error {
 	if len(img.EdgeSrc) != len(img.EdgeLabel) || len(img.EdgeSrc) != len(img.EdgeDst) {
 		return fmt.Errorf("graph: image edge columns disagree (%d/%d/%d rows)",
@@ -212,7 +209,11 @@ func (img *Image) validate() error {
 	return nil
 }
 
-// FromImage rebuilds the exported graph; see Image.
+// FromImage rebuilds a Graph from an Image. Every index is bounds
+// checked, so a corrupted image yields an error, never a panic. The
+// rebuilt graph starts with an empty journal based at img.Version: its
+// history begins where the image was cut, exactly like a graph whose
+// journal was trimmed.
 func FromImage(img *Image) (*Graph, error) {
 	if err := img.validate(); err != nil {
 		return nil, err

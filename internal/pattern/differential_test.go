@@ -26,6 +26,21 @@ var canonMatches = pattern.CanonMatches
 
 func sameCanon(a, b []string) bool { return slices.Equal(a, b) }
 
+// pivotMatches collects the matches ForEachPivotCancel yields for one
+// pivot block, turning each dense binding vector back into a Match.
+func pivotMatches(pl *pattern.Plan, p *pattern.Pattern, pivot pattern.Var, block []graph.NodeID) []pattern.Match {
+	var out []pattern.Match
+	pl.ForEachPivotCancel(pivot, block, nil, func(bind []graph.NodeID) bool {
+		m := make(pattern.Match, len(bind))
+		for i, x := range p.Vars() {
+			m[x] = bind[i]
+		}
+		out = append(out, m)
+		return true
+	})
+	return out
+}
+
 var (
 	diffLabels = []graph.Label{"a", "b", "c"}
 	diffAttrs  = []graph.Attr{"p", "q"}
@@ -113,11 +128,7 @@ func TestSnapshotPivotDifferential(t *testing.T) {
 			cands := g.CandidateNodes(p.Label(pivot))
 			all := pattern.BruteForceMatches(p, g, nil)
 			for _, block := range [][]graph.NodeID{cands, cands[:len(cands)/2]} {
-				var got []pattern.Match
-				pattern.Compile(p, snap).ForEachPivot(pivot, block, func(m pattern.Match) bool {
-					got = append(got, m.Clone())
-					return true
-				})
+				got := pivotMatches(pattern.Compile(p, snap), p, pivot, block)
 				// The pivot is the first variable, so its binding leads
 				// every canonical string: "<pivot>=<id>;".
 				inBlock := make(map[string]bool, len(block))
@@ -239,11 +250,7 @@ func TestPivotRerootDifferential(t *testing.T) {
 							want = append(want, s)
 						}
 					}
-					var got []pattern.Match
-					pl.ForEachPivot(pivot, block, func(m pattern.Match) bool {
-						got = append(got, m.Clone())
-						return true
-					})
+					got := pivotMatches(pl, c.p, pivot, block)
 					if gotC := canonMatches(c.p, got); !sameCanon(gotC, want) {
 						t.Fatalf("seed %d: %s pivoting on %s, block of %d: %d matches, reference %d",
 							seed, c.name, pivot, len(block), len(gotC), len(want))
@@ -341,7 +348,7 @@ func TestPivotCandidatesTrackBlock(t *testing.T) {
 	cands := obs.NewRegistry().Counter("candidates", "")
 	pl.SetProfile(&obs.MatchStats{Candidates: cands})
 	const k = 50
-	pl.ForEachPivot("d", g.Nodes()[:k], func(pattern.Match) bool {
+	pl.ForEachPivotCancel("d", g.Nodes()[:k], nil, func([]graph.NodeID) bool {
 		t.Error("a pattern over an absent edge label matched")
 		return false
 	})

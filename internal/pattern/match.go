@@ -582,20 +582,21 @@ func (pl *Plan) ForEachDenseFiltered(stop func() bool, filter func(graph.NodeID)
 	m.search(0)
 }
 
-// ForEachPivot enumerates matches with the pivot variable successively
-// bound to each candidate, reusing one matcher across the whole block —
-// the low-overhead primitive behind parallel validation. Candidates that
-// violate the pivot's label or incident edges are skipped.
-func (pl *Plan) ForEachPivot(pivot Var, cands []graph.NodeID, yield func(Match) bool) {
-	pl.ForEachPivotCancel(pivot, cands, nil, yield)
-}
-
-// ForEachPivotCancel is ForEachPivot with the cooperative abort hook of
-// ForEachBoundCancel. Pivot candidates are intersected with the pivot's
-// pushed-down literal postings up front when the candidate list is
-// sorted (it usually is: label postings and attribute-value postings
-// both arrive ascending); unsorted candidate lists fall back to the
-// per-candidate literal check in consistent.
+// ForEachPivotCancel enumerates matches with the pivot variable
+// successively bound to each candidate, reusing one matcher across the
+// whole block — the low-overhead primitive behind parallel and
+// incremental validation. Candidates that violate the pivot's label or
+// incident edges are skipped. Like ForEachDenseCancel it yields each
+// match as the matcher's dense binding vector, indexed by variable
+// position in the pattern's Vars() order (read it during the callback,
+// copy it to retain it), and stop is the cooperative abort hook of
+// ForEachBoundCancel.
+//
+// Pivot candidates are intersected with the pivot's pushed-down literal
+// postings up front when the candidate list is sorted (it usually is:
+// label postings and attribute-value postings both arrive ascending);
+// unsorted candidate lists fall back to the per-candidate literal check
+// in consistent.
 //
 // The other variables bind in the plan's order re-rooted at the pivot,
 // derived once at Compile (see reroot): every variable connected to the
@@ -603,12 +604,13 @@ func (pl *Plan) ForEachPivot(pivot Var, cands []graph.NodeID, yield func(Match) 
 // candidates come from adjacency runs rather than its label posting,
 // and a search around touched nodes costs what their neighbourhoods
 // hold, not what the graph holds.
-func (pl *Plan) ForEachPivotCancel(pivot Var, cands []graph.NodeID, stop func() bool, yield func(Match) bool) {
+func (pl *Plan) ForEachPivotCancel(pivot Var, cands []graph.NodeID, stop func() bool, yield func([]graph.NodeID) bool) {
 	pi, ok := pl.varIdx[pivot]
 	if !ok {
 		return
 	}
-	m := pl.newMatcher(stop, yield)
+	m := pl.newMatcher(stop, nil)
+	m.dense = yield
 	defer pl.putMatcher(m)
 	cands = m.pivotCands(pi, cands)
 	m.order = pl.pivotOrder[pi]

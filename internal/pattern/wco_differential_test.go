@@ -183,7 +183,7 @@ func TestFilteredMatchesPostFilter(t *testing.T) {
 }
 
 // TestPivotRoutesThroughIntersection is the pivoted re-check
-// regression: ForEachPivot over a filtered plan must enumerate exactly
+// regression: ForEachPivotCancel over a filtered plan must enumerate exactly
 // the probe-path pivot matches surviving the literal post-filter, for
 // both sorted candidate blocks (pre-intersected with the pivot's
 // postings) and unsorted ones (per-candidate filtering) — the shapes
@@ -208,8 +208,8 @@ func TestPivotRoutesThroughIntersection(t *testing.T) {
 				unsorted = append(unsorted, graph.NodeID(rng.Intn(g.NumNodes())))
 			}
 			for _, cands := range [][]graph.NodeID{sorted, unsorted} {
-				var want, got []pattern.Match
-				pattern.CompileProbe(p, snap).ForEachPivot(pivot, cands, func(m pattern.Match) bool {
+				var want []pattern.Match
+				for _, m := range pivotMatches(pattern.CompileProbe(p, snap), p, pivot, cands) {
 					ok := true
 					for _, f := range filters {
 						v, has := snap.Attr(m[f.Var], f.Attr)
@@ -219,14 +219,10 @@ func TestPivotRoutesThroughIntersection(t *testing.T) {
 						}
 					}
 					if ok {
-						want = append(want, m.Clone())
+						want = append(want, m)
 					}
-					return true
-				})
-				pattern.CompileFiltered(p, snap, filters).ForEachPivot(pivot, cands, func(m pattern.Match) bool {
-					got = append(got, m.Clone())
-					return true
-				})
+				}
+				got := pivotMatches(pattern.CompileFiltered(p, snap, filters), p, pivot, cands)
 				if !sameCanon(canonMatches(p, want), canonMatches(p, got)) {
 					t.Logf("seed %d pattern %s pivot %s: want %d matches, got %d",
 						seed, p, pivot, len(want), len(got))

@@ -6,7 +6,6 @@ import (
 
 	"gedlib/internal/ged"
 	"gedlib/internal/graph"
-	"gedlib/internal/pattern"
 )
 
 // TouchingCtx finds the violations of Σ whose match involves at least
@@ -40,28 +39,19 @@ func (v *Validator) TouchingCtx(ctx context.Context, nodes []graph.NodeID, limit
 	stop := func() bool { return ctx.Err() != nil }
 	var seen seenSet
 	for gi, d := range v.sigma {
-		pl := v.plans[gi]
-		vars := d.Pattern.Vars()
-		for _, pivot := range vars {
-			pl.ForEachPivotCancel(pivot, nodes, stop, func(m pattern.Match) bool {
+		pl, ls := v.plans[gi], v.lits[gi]
+		for _, pivot := range d.Pattern.Vars() {
+			pl.ForEachPivotCancel(pivot, nodes, stop, func(bind []graph.NodeID) bool {
 				if ctxErr = ctx.Err(); ctxErr != nil {
 					return false
 				}
 				// Dedup: a match with several affected bindings is found
 				// once per (pivot, binding); canonicalize.
-				if !seen.add(gi, vars, m) {
+				if !seen.add(gi, bind) {
 					return true
 				}
-				for _, l := range d.X {
-					if !HoldsInGraph(v.snap, l, m) {
-						return true
-					}
-				}
-				for _, l := range d.Y {
-					if !HoldsInGraph(v.snap, l, m) {
-						out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
-						break
-					}
+				if fail := ls.Violated(v.snap, bind); fail >= 0 {
+					out = append(out, ViolationOf(d, bind, fail))
 				}
 				return true
 			})
@@ -92,19 +82,20 @@ func StillViolating(snap *graph.Snapshot, v Violation) bool {
 }
 
 // FailingLiteral is StillViolating exposing the evidence: the first
-// consequent literal that currently fails. It may differ from the
-// recorded v.Literal — an update can fix the recorded literal while
-// breaking another — which is why maintained stores must refresh their
-// entries from it rather than keep the stale one.
-func FailingLiteral(snap *graph.Snapshot, v Violation) (ged.Literal, bool) {
+// consequent literal that currently fails, as a pointer into v.GED.Y.
+// It may differ from the recorded v.Literal — an update can fix the
+// recorded literal while breaking another — which is why maintained
+// stores must refresh their entries from it rather than keep the stale
+// one.
+func FailingLiteral(snap *graph.Snapshot, v Violation) (*ged.Literal, bool) {
 	// Nodes must still exist.
 	for _, x := range v.GED.Pattern.Vars() {
 		n, ok := v.Match[x]
 		if !ok || int(n) >= snap.NumNodes() {
-			return ged.Literal{}, false
+			return nil, false
 		}
 		if !graph.LabelMatches(v.GED.Pattern.Label(x), snap.Label(n)) {
-			return ged.Literal{}, false
+			return nil, false
 		}
 	}
 	// Edges must still exist under ⪯: the exact edge for a concrete
@@ -114,23 +105,23 @@ func FailingLiteral(snap *graph.Snapshot, v Violation) (ged.Literal, bool) {
 		src, dst := v.Match[e.Src], v.Match[e.Dst]
 		if e.Label == graph.Wildcard {
 			if !snap.HasAnyEdge(src, dst) {
-				return ged.Literal{}, false
+				return nil, false
 			}
 		} else if !snap.HasEdge(src, e.Label, dst) {
-			return ged.Literal{}, false
+			return nil, false
 		}
 	}
 	for _, l := range v.GED.X {
 		if !HoldsInGraph(snap, l, v.Match) {
-			return ged.Literal{}, false
+			return nil, false
 		}
 	}
-	for _, l := range v.GED.Y {
-		if !HoldsInGraph(snap, l, v.Match) {
-			return l, true
+	for i := range v.GED.Y {
+		if !HoldsInGraph(snap, v.GED.Y[i], v.Match) {
+			return &v.GED.Y[i], true
 		}
 	}
-	return ged.Literal{}, false
+	return nil, false
 }
 
 // denseKeyVars is how many bindings the allocation-free match key holds
@@ -157,30 +148,29 @@ type seenSet struct {
 	wide  map[string]bool
 }
 
-func makeKey(gi int, vars []pattern.Var, m pattern.Match) (denseKey, bool) {
-	if len(vars) > denseKeyVars {
+func makeKey(gi int, bind []graph.NodeID) (denseKey, bool) {
+	if len(bind) > denseKeyVars {
 		return denseKey{}, false
 	}
-	k := denseKey{gi: int32(gi), n: int32(len(vars))}
-	for i, v := range vars {
-		k.ids[i] = m[v]
-	}
+	k := denseKey{gi: int32(gi), n: int32(len(bind))}
+	copy(k.ids[:], bind)
 	return k, true
 }
 
-func wideKey(gi int, vars []pattern.Var, m pattern.Match) string {
-	buf := make([]byte, 0, 16+8*len(vars))
+func wideKey(gi int, bind []graph.NodeID) string {
+	buf := make([]byte, 0, 16+8*len(bind))
 	buf = strconv.AppendInt(buf, int64(gi), 10)
-	for _, v := range vars {
+	for _, n := range bind {
 		buf = append(buf, ':')
-		buf = strconv.AppendInt(buf, int64(m[v]), 10)
+		buf = strconv.AppendInt(buf, int64(n), 10)
 	}
 	return string(buf)
 }
 
-// add inserts the key of (gi, m) and reports whether it was absent.
-func (s *seenSet) add(gi int, vars []pattern.Var, m pattern.Match) bool {
-	if k, ok := makeKey(gi, vars, m); ok {
+// add inserts the key of (gi, bind) — bind a complete binding vector in
+// variable order — and reports whether it was absent.
+func (s *seenSet) add(gi int, bind []graph.NodeID) bool {
+	if k, ok := makeKey(gi, bind); ok {
 		if s.dense == nil {
 			s.dense = make(map[denseKey]bool)
 		}
@@ -190,7 +180,7 @@ func (s *seenSet) add(gi int, vars []pattern.Var, m pattern.Match) bool {
 		s.dense[k] = true
 		return true
 	}
-	k := wideKey(gi, vars, m)
+	k := wideKey(gi, bind)
 	if s.wide == nil {
 		s.wide = make(map[string]bool)
 	}
@@ -201,11 +191,11 @@ func (s *seenSet) add(gi int, vars []pattern.Var, m pattern.Match) bool {
 	return true
 }
 
-// remove deletes the key of (gi, m).
-func (s *seenSet) remove(gi int, vars []pattern.Var, m pattern.Match) {
-	if k, ok := makeKey(gi, vars, m); ok {
+// remove deletes the key of (gi, bind).
+func (s *seenSet) remove(gi int, bind []graph.NodeID) {
+	if k, ok := makeKey(gi, bind); ok {
 		delete(s.dense, k)
 		return
 	}
-	delete(s.wide, wideKey(gi, vars, m))
+	delete(s.wide, wideKey(gi, bind))
 }

@@ -16,11 +16,12 @@ import (
 // assignments that are matches — node labels under ⪯, concrete edge
 // labels exactly, wildcard edge labels as any edge, self-loops
 // included — whose antecedent holds and some consequent literal fails,
-// reporting the first failing one. Labels, edges and attributes are
-// read from the mutable graph's own lists and maps, so the reference
-// shares no code with the snapshot, the matcher or the validators. A
-// partial assignment is abandoned as soon as a label or edge among its
-// bound variables fails, which leaves the result unchanged.
+// reporting the first failing one as &d.Y[i], the literal itself rather
+// than a copy. Labels, edges and attributes are read from the mutable
+// graph's own lists and maps, so the reference shares no code with the
+// snapshot, the matcher or the validators. A partial assignment is
+// abandoned as soon as a label or edge among its bound variables fails,
+// which leaves the result unchanged.
 //
 // The result is in canonical order: GED index, then the bindings
 // rendered "x=1;y=2;" in variable order, compared as strings.
@@ -99,13 +100,13 @@ func bruteForceViolations(g *graph.Graph, sigma ged.Set) []Violation {
 					return
 				}
 			}
-			for _, l := range d.Y {
-				if !holds(l, m) {
+			for i := range d.Y {
+				if !holds(d.Y[i], m) {
 					key := ""
 					for _, x := range vars {
 						key += fmt.Sprintf("%s=%d;", x, m[x])
 					}
-					found = append(found, keyed{key, Violation{GED: d, Match: m.Clone(), Literal: l}})
+					found = append(found, keyed{key, Violation{GED: d, Match: m.Clone(), Literal: &d.Y[i]}})
 					return
 				}
 			}

@@ -101,26 +101,19 @@ func (v *Validator) RunParallelCtx(ctx context.Context, limit, workers int) ([]V
 					break
 				}
 				d := sigma[t.gedIdx]
-				pl := v.plans[t.gedIdx]
-				collect := func(m pattern.Match) bool {
+				ls := v.lits[t.gedIdx]
+				collect := func(bind []graph.NodeID) bool {
 					if ctx.Err() != nil {
 						return false
 					}
-					for _, l := range d.X {
-						if !HoldsInGraph(v.snap, l, m) {
-							return true
-						}
-					}
-					for _, l := range d.Y {
-						if !HoldsInGraph(v.snap, l, m) {
-							local = append(local, Violation{GED: d, Match: m.Clone(), Literal: l})
-							break
-						}
+					if fail := ls.Violated(v.snap, bind); fail >= 0 {
+						local = append(local, ViolationOf(d, bind, fail))
 					}
 					return true
 				}
+				pl := v.plans[t.gedIdx]
 				if t.cands == nil {
-					pl.ForEachBoundCancel(nil, stop, collect)
+					pl.ForEachDenseCancel(stop, collect)
 					continue
 				}
 				pl.ForEachPivotCancel(t.pivot, t.cands, stop, collect)

@@ -30,9 +30,9 @@ func probeOracleValidate(snap *graph.Snapshot, sigma ged.Set) []Violation {
 					return true
 				}
 			}
-			for _, l := range d.Y {
-				if !HoldsInGraph(snap, l, m) {
-					out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
+			for i := range d.Y {
+				if !HoldsInGraph(snap, d.Y[i], m) {
+					out = append(out, Violation{GED: d, Match: m.Clone(), Literal: &d.Y[i]})
 					break
 				}
 			}

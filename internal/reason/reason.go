@@ -123,13 +123,19 @@ func ImpliesCtx(ctx context.Context, sigma ged.Set, phi *ged.GED, maxRounds int)
 // Violation is one witness that G ⊭ Σ: a match of a GED's pattern that
 // satisfies X but fails the given consequent literal (for forbidding
 // constraints the failed literal is part of the false desugaring).
+//
+// A Violation is three words: the Match map and the Literal are shared,
+// not copied — every validation result, maintained store and caller
+// copy of one violation points at the same map and at the literal
+// inside the rule's own consequent. Both are read-only.
 type Violation struct {
 	// GED is the violated dependency.
 	GED *ged.GED
-	// Match is the violating match h(x̄).
+	// Match is the violating match h(x̄); shared and read-only.
 	Match pattern.Match
-	// Literal is the first consequent literal not satisfied.
-	Literal ged.Literal
+	// Literal is the first consequent literal not satisfied: it points
+	// into GED.Y (&GED.Y[i]) and is read-only.
+	Literal *ged.Literal
 }
 
 // Satisfies reports G ⊨ Σ (Section 5.3). It freezes g once and stops

@@ -22,9 +22,9 @@ func validateInjective(g *graph.Graph, sigma ged.Set, limit int) []Violation {
 					return true
 				}
 			}
-			for _, l := range d.Y {
-				if !HoldsInGraph(snap, l, m) {
-					out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
+			for i := range d.Y {
+				if !HoldsInGraph(snap, d.Y[i], m) {
+					out = append(out, Violation{GED: d, Match: m.Clone(), Literal: &d.Y[i]})
 					break
 				}
 			}

@@ -41,10 +41,12 @@ import (
 // new violations, deduplicated against what is already stored.
 //
 // Entries carry their canonical sort key and dense binding vector,
-// computed once at admission: a delta re-sorts nothing — survivors stay
-// in order and the (few, already-sorted) newcomers merge in. Readers
-// copy the set out with AppendViolations, straight from the sorted
-// entries into a slice they own.
+// computed once at admission: a delta re-sorts nothing and scans
+// nothing — each (already-sorted) newcomer's position and each repaired
+// entry's position are binary-searched, and the entries between them
+// move as blocks. Readers copy the set out with AppendViolations,
+// straight from the sorted entries into a slice they own: three words
+// per violation, the Match map and the Literal shared.
 //
 // The store is single-writer: Apply must not run concurrently with
 // itself or AppendViolations. Engine.Apply provides the locking.
@@ -84,13 +86,9 @@ func (e *storedViolation) less(o *storedViolation) bool {
 	return e.key < o.key
 }
 
-func (st *ViolationStore) admit(v Violation) *storedViolation {
-	gi := st.gedIdx[v.GED]
-	vars := v.GED.Pattern.Vars()
-	bind := make([]graph.NodeID, len(vars))
-	for i, x := range vars {
-		bind[i] = v.Match[x]
-	}
+// admit indexes v, of rule gi and with binding vector bind (retained),
+// as a stored entry.
+func (st *ViolationStore) admit(v Violation, gi int, bind []graph.NodeID) *storedViolation {
 	e := &storedViolation{
 		v:    v,
 		gi:   gi,
@@ -155,27 +153,11 @@ func NewViolationStoreCtx(ctx context.Context, val *Validator) (*ViolationStore,
 // O(|G|) step of the store's life, so it deserves the same parallelism
 // full validation gets.
 func NewViolationStoreParallelCtx(ctx context.Context, val *Validator, workers int) (*ViolationStore, error) {
-	sigma := val.sigma
 	vs, err := val.RunParallelCtx(ctx, 0, workers)
 	if err != nil {
 		return nil, err
 	}
-	st := &ViolationStore{
-		val:    val,
-		sigma:  sigma,
-		gedIdx: make(map[*ged.GED]int, len(sigma)),
-		byNode: make(map[graph.NodeID][]*storedViolation),
-	}
-	for i, d := range sigma {
-		st.gedIdx[d] = i
-	}
-	st.vs = make([]*storedViolation, len(vs))
-	for i, v := range vs {
-		st.vs[i] = st.admit(v)
-		st.seen.add(st.vs[i].gi, v.GED.Pattern.Vars(), v.Match)
-	}
-	sort.Slice(st.vs, func(i, j int) bool { return st.vs[i].less(st.vs[j]) })
-	return st, nil
+	return NewViolationStoreSeeded(val, vs), nil
 }
 
 // NewViolationStoreSeeded builds a maintained store over val's snapshot
@@ -195,12 +177,7 @@ func NewViolationStoreSeeded(val *Validator, vs []Violation) *ViolationStore {
 	for i, d := range sigma {
 		st.gedIdx[d] = i
 	}
-	st.vs = make([]*storedViolation, 0, len(vs))
-	for _, v := range vs {
-		if st.seen.add(st.gedIdx[v.GED], v.GED.Pattern.Vars(), v.Match) {
-			st.vs = append(st.vs, st.admit(v))
-		}
-	}
+	st.vs = st.appendNew(make([]*storedViolation, 0, len(vs)), vs)
 	sort.Slice(st.vs, func(i, j int) bool { return st.vs[i].less(st.vs[j]) })
 	return st
 }
@@ -214,8 +191,8 @@ func (st *ViolationStore) Sigma() ged.Set { return st.sigma }
 // AppendViolations appends the maintained set, in canonical order, to
 // dst and returns the extended slice; limit > 0 appends only the
 // canonically-least limit violations. The appended elements belong to
-// the caller; the Match maps they hold are shared with the store and
-// read-only.
+// the caller; the Match maps and Literal pointers they hold are shared
+// with the store and read-only.
 func (st *ViolationStore) AppendViolations(dst []Violation, limit int) []Violation {
 	vs := st.vs
 	if limit > 0 && len(vs) > limit {
@@ -267,7 +244,7 @@ func (st *ViolationStore) Recheck(ctx context.Context, snap *graph.Snapshot, tou
 	// touches — an untouched match cannot have changed status. The
 	// index lists are compacted of dropped entries as a side effect.
 	st.stamp++
-	droppedAny := false
+	var drops []*storedViolation
 	for _, n := range touched {
 		list := st.byNode[n]
 		if len(list) == 0 {
@@ -289,16 +266,13 @@ func (st *ViolationStore) Recheck(ctx context.Context, snap *graph.Snapshot, tou
 			switch {
 			case !still:
 				st.ctrDrop.Inc()
-				st.seen.remove(e.gi, e.v.GED.Pattern.Vars(), e.v.Match)
+				st.seen.remove(e.gi, e.bind)
 				e.dropped = true
 				// The entry appears in one index list per distinct
 				// bound node; one reference is pruned right here.
 				st.dross += distinctBindCount(e.bind) - 1
 				live = live[:len(live)-1]
-				droppedAny = true
-				// Until the other references are pruned the entry is a
-				// husk: release the match, key and bindings it holds.
-				e.v, e.key, e.bind = Violation{}, "", nil
+				drops = append(drops, e)
 			case l != e.v.Literal:
 				// The update fixed the recorded literal but broke
 				// another; keep the evidence current.
@@ -311,8 +285,8 @@ func (st *ViolationStore) Recheck(ctx context.Context, snap *graph.Snapshot, tou
 			st.byNode[n] = live
 		}
 	}
-	if droppedAny {
-		st.vs = slices.DeleteFunc(st.vs, func(e *storedViolation) bool { return e.dropped })
+	if len(drops) > 0 {
+		st.removeDropped(drops)
 	}
 	if st.dross > len(st.vs)+64 {
 		st.rebuildIndex()
@@ -326,16 +300,27 @@ func (st *ViolationStore) Recheck(ctx context.Context, snap *graph.Snapshot, tou
 // duplicates — of stored entries or within vs — are dropped by the key
 // set, so re-discovering a maintained violation is harmless.
 func (st *ViolationStore) AdmitFresh(vs []Violation) {
-	var add []*storedViolation
-	for _, v := range vs {
-		if st.seen.add(st.gedIdx[v.GED], v.GED.Pattern.Vars(), v.Match) {
-			add = append(add, st.admit(v))
-		}
-	}
-	if len(add) > 0 {
+	if add := st.appendNew(nil, vs); len(add) > 0 {
 		st.ctrFresh.Add(uint64(len(add)))
 		st.vs = mergeStored(st.vs, add)
 	}
+}
+
+// appendNew admits the violations of vs the key set has not seen and
+// appends their entries to dst.
+func (st *ViolationStore) appendNew(dst []*storedViolation, vs []Violation) []*storedViolation {
+	var buf [denseKeyVars]graph.NodeID
+	for _, v := range vs {
+		gi := st.gedIdx[v.GED]
+		bind := buf[:0]
+		for _, x := range v.GED.Pattern.Vars() {
+			bind = append(bind, v.Match[x])
+		}
+		if st.seen.add(gi, bind) {
+			dst = append(dst, st.admit(v, gi, slices.Clone(bind)))
+		}
+	}
+	return dst
 }
 
 // rebuildIndex re-derives byNode from the live entries, shedding the
@@ -350,20 +335,49 @@ func (st *ViolationStore) rebuildIndex() {
 	st.dross = 0
 }
 
-// mergeStored folds the sorted newcomers into the sorted store by a
-// backward in-place merge, reusing the store's capacity (growing it
-// only amortizedly) instead of reallocating the whole set per delta.
-func mergeStored(a, b []*storedViolation) []*storedViolation {
-	i := len(a) - 1
-	out := append(a, b...)
-	for j, w := len(b)-1, len(out)-1; j >= 0; w-- {
-		if i >= 0 && b[j].less(a[i]) {
-			out[w] = a[i]
-			i--
-		} else {
-			out[w] = b[j]
-			j--
+// removeDropped deletes the dropped entries from the sorted set without
+// scanning it: each entry's position is binary-searched by its
+// (gi, key) — still intact, since husks are released only afterwards —
+// and the surviving blocks between the positions move down with copy.
+// Until the other index references to a dropped entry are pruned the
+// entry is a husk, so the match, key and bindings it holds are released
+// here.
+func (st *ViolationStore) removeDropped(drops []*storedViolation) {
+	pos := make([]int, len(drops))
+	for i, e := range drops {
+		pos[i] = sort.Search(len(st.vs), func(k int) bool { return !st.vs[k].less(e) })
+	}
+	slices.Sort(pos)
+	w := pos[0]
+	for i, p := range pos {
+		end := len(st.vs)
+		if i+1 < len(pos) {
+			end = pos[i+1]
 		}
+		w += copy(st.vs[w:], st.vs[p+1:end])
+	}
+	clear(st.vs[w:])
+	st.vs = st.vs[:w]
+	for _, e := range drops {
+		e.v, e.key, e.bind = Violation{}, "", nil
+	}
+}
+
+// mergeStored folds the sorted newcomers b into the sorted store a in
+// place, reusing a's capacity (growing it only amortizedly): from the
+// last newcomer back, each one's position among the entries still
+// unplaced is binary-searched, and the block of entries after it moves
+// up by the number of newcomers still to place. The cost is
+// O(|b| log |a|) comparisons plus one memmove of the entries from the
+// first insertion point on, never a comparison per stored entry.
+func mergeStored(a, b []*storedViolation) []*storedViolation {
+	end := len(a)
+	out := append(a, b...)
+	for j := len(b) - 1; j >= 0; j-- {
+		p := sort.Search(end, func(k int) bool { return b[j].less(out[k]) })
+		copy(out[p+j+1:], out[p:end])
+		out[p+j] = b[j]
+		end = p
 	}
 	return out
 }

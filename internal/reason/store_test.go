@@ -87,7 +87,7 @@ func TestViolationStoreRefreshesLiteral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.AppendViolations(nil, 0); len(got) != 1 || got[0].Literal != d.Y[1] {
+	if got := st.AppendViolations(nil, 0); len(got) != 1 || got[0].Literal != &d.Y[1] {
 		t.Fatalf("seed: want one violation failing %s, got %+v", d.Y[1], got)
 	}
 	// Fix q (the recorded literal) and break p in one delta.
@@ -102,7 +102,7 @@ func TestViolationStoreRefreshesLiteral(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("want one violation, got %d", len(got))
 	}
-	if got[0].Literal != d.Y[0] {
+	if got[0].Literal != &d.Y[0] {
 		t.Fatalf("stale literal: store reports %s, but %s is what fails now", got[0].Literal, d.Y[0])
 	}
 	want := validate(g, sigma, 0)

@@ -26,6 +26,10 @@ type Validator struct {
 	snap  *graph.Snapshot
 	sigma ged.Set
 	plans []*pattern.Plan
+	// lits[i] is Σ[i]'s X and Y lowered onto its plan's binding vector
+	// and resolved against snap, so enumeration evaluates the literals
+	// without building a Match map for matches that violate nothing.
+	lits []*Lits
 	// pivots[i] is the pushed-down access path for Σ[i], if any; built
 	// on the first RunParallelCtx so that other validators never pay for
 	// the value postings.
@@ -55,9 +59,11 @@ func NewValidatorOn(snap *graph.Snapshot, sigma ged.Set) *Validator {
 		snap:  snap,
 		sigma: sigma,
 		plans: make([]*pattern.Plan, len(sigma)),
+		lits:  make([]*Lits, len(sigma)),
 	}
 	for i, d := range sigma {
 		v.plans[i] = pattern.CompileFiltered(d.Pattern, snap, PushdownFilters(d))
+		v.lits[i] = LowerLits(d, snap)
 	}
 	return v
 }
@@ -95,9 +101,11 @@ func (v *Validator) Rebase(snap *graph.Snapshot) *Validator {
 		snap:  snap,
 		sigma: v.sigma,
 		plans: make([]*pattern.Plan, len(v.plans)),
+		lits:  make([]*Lits, len(v.lits)),
 	}
 	for i, pl := range v.plans {
 		nv.plans[i] = pl.Rebind(snap)
+		nv.lits[i] = v.lits[i].Resolve(snap)
 	}
 	return nv
 }
@@ -149,30 +157,23 @@ func choosePivot(d *ged.GED, snap *graph.Snapshot) *pivotPlan {
 // RunCtx finds the violations of Σ in the validator's snapshot, up to
 // limit (≤ 0 means all); the snapshot satisfies Σ iff the result is
 // empty (Section 5.3). It enumerates sequentially through the prepared
-// plans, in enumeration order. ctx is checked between candidate matches
-// and, via the matcher's abort hook, inside the backtracking search
-// itself — so a cancelled context aborts even a match-free exponential
-// exploration. The violations found so far are returned alongside
-// ctx's error.
+// plans, in enumeration order, evaluating each rule's lowered literals
+// on the matcher's binding vector; a Match map is built only for a
+// violation. ctx is checked between candidate matches and, via the
+// matcher's abort hook, inside the backtracking search itself — so a
+// cancelled context aborts even a match-free exponential exploration.
+// The violations found so far are returned alongside ctx's error.
 func (v *Validator) RunCtx(ctx context.Context, limit int) ([]Violation, error) {
 	var out []Violation
 	stop := func() bool { return ctx.Err() != nil }
 	for i, d := range v.sigma {
-		d := d
-		v.plans[i].ForEachBoundCancel(nil, stop, func(m pattern.Match) bool {
+		ls := v.lits[i]
+		v.plans[i].ForEachDenseCancel(stop, func(bind []graph.NodeID) bool {
 			if ctx.Err() != nil {
 				return false
 			}
-			for _, l := range d.X {
-				if !HoldsInGraph(v.snap, l, m) {
-					return true
-				}
-			}
-			for _, l := range d.Y {
-				if !HoldsInGraph(v.snap, l, m) {
-					out = append(out, Violation{GED: d, Match: m.Clone(), Literal: l})
-					break
-				}
+			if fail := ls.Violated(v.snap, bind); fail >= 0 {
+				out = append(out, ViolationOf(d, bind, fail))
 			}
 			return limit <= 0 || len(out) < limit
 		})

@@ -28,51 +28,15 @@ type compiledRule struct {
 	// pedges are the pattern's edges over variable indices — the
 	// deferred tri-state edge checks finalization re-verifies globally.
 	pedges []pedge
-	// ante and cons are X and Y compiled to binding-vector indices, so
-	// finalization evaluates them without building a match map.
-	ante, cons []clit
+	// lits are X and Y lowered onto the binding vector, so finalization
+	// evaluates them without building a match map.
+	lits *reason.Lits
 }
 
 // pedge is one pattern edge over variable indices.
 type pedge struct {
 	src, dst int
 	label    graph.Label
-}
-
-// clit is one literal of X or Y compiled to variable indices; attribute
-// names stay symbolic here and resolve to dense snapshot ids per runner
-// (a delta can introduce an attribute after rule compilation).
-type clit struct {
-	kind   ged.LiteralKind
-	li, ri int
-	la, ra graph.Attr
-	c      graph.Value
-	orig   ged.Literal
-}
-
-// compileLits lowers literals onto variable indices.
-func compileLits(ls []ged.Literal, varIdx map[pattern.Var]int) []clit {
-	out := make([]clit, len(ls))
-	for i, l := range ls {
-		k, ok := l.Kind()
-		if !ok {
-			panic("shard: non-GED literal in validation")
-		}
-		cl := clit{kind: k, orig: l, li: varIdx[l.Left.Var]}
-		switch k {
-		case ged.ConstLiteral:
-			cl.la = l.Left.Attr
-			cl.c = l.Right.Const
-		case ged.VarLiteral:
-			cl.la = l.Left.Attr
-			cl.ri = varIdx[l.Right.Var]
-			cl.ra = l.Right.Attr
-		default: // IDLiteral
-			cl.ri = varIdx[l.Right.Var]
-		}
-		out[i] = cl
-	}
-	return out
 }
 
 // cfilter is a pushed-down constant literal v.Attr = Value.
@@ -139,8 +103,7 @@ func compileRules(sigma ged.Set, global *graph.Snapshot) []*compiledRule {
 			edges = append(edges, e)
 			cr.pedges = append(cr.pedges, pedge{src: varIdx[e.Src], dst: varIdx[e.Dst], label: e.Label})
 		}
-		cr.ante = compileLits(d.X, varIdx)
-		cr.cons = compileLits(d.Y, varIdx)
+		cr.lits = reason.LowerLits(d, global)
 		pl := pattern.CompileFiltered(d.Pattern, global, reason.PushdownFilters(d))
 		indexes := func(xs []pattern.Var) []int {
 			order := make([]int, len(xs))

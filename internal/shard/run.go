@@ -6,10 +6,8 @@ import (
 	"strconv"
 	"sync"
 
-	"gedlib/internal/ged"
 	"gedlib/internal/graph"
 	"gedlib/internal/obs"
-	"gedlib/internal/pattern"
 	"gedlib/internal/reason"
 )
 
@@ -37,11 +35,11 @@ type runner struct {
 	sh     *sharding
 	global *graph.Snapshot
 	rules  []*compiledRule
-	// ante and cons mirror each rule's compiled literals with attribute
-	// names resolved to this global snapshot's dense symbols, so
-	// finalization runs map-free (resolved per runner, not per rule:
-	// deltas can introduce attributes after rule compilation).
-	ante, cons [][]rlit
+	// lits are each rule's lowered literals resolved against this
+	// global snapshot, so finalization runs map-free (resolved per
+	// runner, not per rule: deltas can introduce attributes after rule
+	// compilation).
+	lits []*reason.Lits
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -62,72 +60,17 @@ type runner struct {
 	reg *obs.Registry
 }
 
-// rlit is a clit with its attribute symbols resolved against one global
-// snapshot; -1 means no node of the snapshot carries the attribute (the
-// literal cannot hold under existence semantics).
-type rlit struct {
-	kind   ged.LiteralKind
-	li, ri int
-	la, ra int32
-	c      graph.Value
-	orig   ged.Literal
-}
-
-func resolveLits(ls []clit, global *graph.Snapshot) []rlit {
-	out := make([]rlit, len(ls))
-	for i, l := range ls {
-		rl := rlit{kind: l.kind, li: l.li, ri: l.ri, la: -1, ra: -1, c: l.c, orig: l.orig}
-		if l.kind != ged.IDLiteral {
-			if id, ok := global.AttrID(l.la); ok {
-				rl.la = id
-			}
-		}
-		if l.kind == ged.VarLiteral {
-			if id, ok := global.AttrID(l.ra); ok {
-				rl.ra = id
-			}
-		}
-		out[i] = rl
-	}
-	return out
-}
-
-// holds evaluates one resolved literal on a complete binding, with the
-// paper's existence semantics (missing attribute → false) — the same
-// answers as reason.HoldsInGraph, without the match map.
-func holds(g *graph.Snapshot, l rlit, bind []graph.NodeID) bool {
-	switch l.kind {
-	case ged.ConstLiteral:
-		if l.la < 0 {
-			return false
-		}
-		v, ok := g.AttrValueID(bind[l.li], l.la)
-		return ok && v.Equal(l.c)
-	case ged.VarLiteral:
-		if l.la < 0 || l.ra < 0 {
-			return false
-		}
-		v1, ok1 := g.AttrValueID(bind[l.li], l.la)
-		v2, ok2 := g.AttrValueID(bind[l.ri], l.ra)
-		return ok1 && ok2 && v1.Equal(v2)
-	default: // IDLiteral
-		return bind[l.li] == bind[l.ri]
-	}
-}
-
 func newRunner(sh *sharding, global *graph.Snapshot, rules []*compiledRule) *runner {
 	r := &runner{
 		sh:      sh,
 		global:  global,
 		rules:   rules,
-		ante:    make([][]rlit, len(rules)),
-		cons:    make([][]rlit, len(rules)),
+		lits:    make([]*reason.Lits, len(rules)),
 		queues:  make([][]frame, sh.p),
 		buckets: make([][]reason.Violation, sh.p),
 	}
 	for i, cr := range rules {
-		r.ante[i] = resolveLits(cr.ante, global)
-		r.cons[i] = resolveLits(cr.cons, global)
+		r.lits[i] = cr.lits.Resolve(global)
 	}
 	r.cond = sync.NewCond(&r.mu)
 	return r
@@ -530,34 +473,16 @@ func (ws *wstate) finalize(cr *compiledRule, bind []graph.NodeID) {
 			return
 		}
 	}
-	for _, l := range ws.r.ante[cr.idx] {
-		if !holds(g, l, bind) {
-			ws.nRejects++
-			return
-		}
-	}
-	var fail ged.Literal
-	found := false
-	for _, l := range ws.r.cons[cr.idx] {
-		if !holds(g, l, bind) {
-			fail, found = l.orig, true
-			break
-		}
-	}
-	if !found {
+	fail := ws.r.lits[cr.idx].Violated(g, bind)
+	if fail < 0 {
 		ws.nRejects++
 		return
-	}
-	m := make(pattern.Match, len(cr.vars))
-	for i, x := range cr.vars {
-		m[x] = bind[i]
 	}
 	dst := 0
 	if len(bind) > 0 {
 		dst = int(ws.r.sh.owner[bind[0]])
 	}
-	ws.buckets[dst] = append(ws.buckets[dst],
-		reason.Violation{GED: cr.d, Match: m, Literal: fail})
+	ws.buckets[dst] = append(ws.buckets[dst], reason.ViolationOf(cr.d, bind, fail))
 }
 
 func edgeHas(snap *graph.Snapshot, src graph.NodeID, l graph.Label, dst graph.NodeID) bool {

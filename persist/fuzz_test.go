@@ -1,6 +1,11 @@
 package persist
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -136,6 +141,70 @@ func FuzzWALRecord(f *testing.F) {
 			if !sameRecord(got[i], want[i]) {
 				t.Fatalf("record %d decoded to %+v, want %+v", i, got[i], want[i])
 			}
+		}
+	})
+}
+
+// FuzzCheckpoint drives the checkpoint loader. Arbitrary file contents
+// must make loadCheckpoint return an error or a graph whose image passes
+// the image validation ImportImage runs, never panic. With fixCRC set
+// the header's CRC is rewritten to match the fuzzed payload first, so
+// mutations reach the section table and the image checks behind the
+// checksum. The corpus is seeded with checkpoints writeCheckpoint wrote
+// for small graphs. Run with
+// `go test -run '^$' -fuzz '^FuzzCheckpoint$' ./persist` to explore.
+func FuzzCheckpoint(f *testing.F) {
+	dir := f.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed := func(g *gedlib.Graph, names []string, rules string) {
+		v, err := s.writeCheckpoint(dir, State{Graph: g, Names: names, Rules: rules}, 3, false)
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, ckptName(v)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, false)
+		f.Add(data, true)
+		f.Add(data[:len(data)/2], true)
+	}
+	seed(gedlib.NewGraph(), nil, "")
+	g := gedlib.NewGraph()
+	a := g.AddNodeAttrs("person", map[gedlib.Attr]gedlib.Value{"name": gedlib.String("ada"), "age": gedlib.Int(36)})
+	b := g.AddNode("city")
+	g.AddEdge(a, "lives_in", b)
+	g.AddEdge(b, "in", b)
+	seed(g, []string{"ada", "london"}, "ged r on (x:person) { then x.age = 36 }")
+	f.Add([]byte(ckptMagic), true)
+
+	// One file per fuzzing process, rewritten for every input.
+	path := filepath.Join(f.TempDir(), ckptName(1))
+	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
+		if fixCRC && len(data) >= ckptHeaderBytesV1 {
+			if start := binary.LittleEndian.Uint32(data[28:]); uint64(start) <= uint64(len(data)) {
+				data = slices.Clone(data)
+				binary.LittleEndian.PutUint32(data[24:], crc32.ChecksumIEEE(data[start:]))
+			}
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, _, _, err := s.loadCheckpoint(path)
+		if err != nil {
+			return
+		}
+		img := gedlib.ExportImage(st.Graph)
+		back, err := gedlib.ImportImage(img)
+		if err != nil {
+			t.Fatalf("loaded graph's image fails validation: %v", err)
+		}
+		if back.NumNodes() != st.Graph.NumNodes() || back.NumEdges() != st.Graph.NumEdges() {
+			t.Fatalf("image round trip changed the graph: %d/%d nodes, %d/%d edges",
+				back.NumNodes(), st.Graph.NumNodes(), back.NumEdges(), st.Graph.NumEdges())
 		}
 	})
 }

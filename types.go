@@ -224,7 +224,10 @@ func False(y Var) []Literal { return ged.False(y) }
 // ---- analysis results ----
 
 // Violation is one witness that a graph violates a rule: the match, and
-// the first consequent literal it fails.
+// the first consequent literal it fails. It is three words: Match and
+// Literal are shared with every other copy of the violation — Literal
+// points into the rule's own consequent, &Rule.Y[i] — and are
+// read-only.
 type Violation = reason.Violation
 
 // SatResult reports a satisfiability analysis; Model is a certified
